@@ -17,6 +17,7 @@ import (
 	"memwall/internal/iocomplexity"
 	"memwall/internal/mem"
 	"memwall/internal/mtc"
+	"memwall/internal/runner"
 	"memwall/internal/stats"
 	"memwall/internal/trace"
 	"memwall/internal/trends"
@@ -101,7 +102,7 @@ func benchmarkFigure3(b *testing.B, suite workload.Suite, names []string) {
 	b.ResetTimer()
 	var fbF float64
 	for i := 0; i < b.N; i++ {
-		cells, err := core.Figure3(suite, progs, 16)
+		cells, err := core.Figure3Pool(suite, progs, 16, runner.Config{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

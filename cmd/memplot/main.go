@@ -16,9 +16,11 @@ import (
 	"memwall/internal/cache"
 	"memwall/internal/core"
 	"memwall/internal/mtc"
+	"memwall/internal/runner"
 	"memwall/internal/svgplot"
 	"memwall/internal/trace"
 	"memwall/internal/trends"
+	"memwall/internal/twin"
 	"memwall/internal/workload"
 )
 
@@ -65,17 +67,14 @@ func plotFig1(dir string) error {
 func plotFig3(dir string, scale, cacheScale int) error {
 	for _, suite := range []workload.Suite{workload.SPEC92, workload.SPEC95} {
 		var progs []*workload.Program
-		for _, name := range workload.SuiteNames(suite) {
-			if suite == workload.SPEC92 && name == "dnasa2" {
-				continue
-			}
+		for _, name := range twin.TimingBenchmarks(suite) {
 			p, err := workload.Generate(name, scale)
 			if err != nil {
 				return err
 			}
 			progs = append(progs, p)
 		}
-		cells, err := core.Figure3(suite, progs, cacheScale)
+		cells, err := core.Figure3Pool(suite, progs, cacheScale, runner.Config{Workers: 1})
 		if err != nil {
 			return err
 		}

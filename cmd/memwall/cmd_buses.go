@@ -14,7 +14,7 @@ func init() {
 	register("buses", "attribute f_B to the L1/L2 bus vs the memory bus", runBuses)
 }
 
-func runBuses(args []string) error {
+func runBuses(env *env, args []string) error {
 	fs := flag.NewFlagSet("buses", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -27,7 +27,7 @@ func runBuses(args []string) error {
 		"benchmark", "f_B", "f_B(mem bus)", "f_B(L1/L2 bus)", "interaction")
 	for _, name := range strings.Split(*benchList, ",") {
 		name = strings.TrimSpace(name)
-		p, err := corpusProgram(name, *scale)
+		p, err := env.program(name, *scale)
 		if err != nil {
 			return err
 		}

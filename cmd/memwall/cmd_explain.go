@@ -41,7 +41,7 @@ func init() {
 	register("explain", "structured run report: T_P/T_L/T_B split, stall causes, interval samples", runExplain)
 }
 
-func runExplain(args []string) error {
+func runExplain(env *env, args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -80,7 +80,7 @@ func runExplain(args []string) error {
 		wall    attr.WallReport
 	)
 	for _, suite := range suites {
-		progs, err := generateSuite(suite, *scale)
+		progs, err := env.generateSuite(suite, *scale)
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func runExplain(args []string) error {
 		if err != nil {
 			return usageErr(err)
 		}
-		pool := gridPool(*workers, nil)
+		pool := env.gridPool(*workers, nil)
 		cells := &runner.CellStats{}
 		pool.Cells = cells
 		ecs, err := core.ExplainPool(suite, progs, *cacheScale, opts, pool)
@@ -127,7 +127,7 @@ func runExplain(args []string) error {
 	// registry: present only when the run had -metrics (the counters
 	// live there). The serve.* prefix covers reports written by a
 	// draining `memwall serve -metrics` run.
-	if snap := observation().Metrics.Snapshot(); len(snap.Counters) > 0 {
+	if snap := env.obs.Metrics.Snapshot(); len(snap.Counters) > 0 {
 		if hits := snap.CounterPrefix("corpus.", "checkpoint.", "serve."); len(hits) > 0 {
 			rep.Corpus = hits
 		}

@@ -19,7 +19,7 @@ func init() {
 	register("future", "Section 2.4: scale the processor, watch f_B grow", runFuture)
 }
 
-func runExport(args []string) error {
+func runExport(env *env, args []string) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -33,8 +33,8 @@ func runExport(args []string) error {
 	// gridPool threads the run's checkpoint ledger and fault injector into
 	// the Figure 3 grid (Figure3Pool names the cells itself). With -twin,
 	// the surrogate serves the timing cells it covers.
-	pool := gridPool(*workers, nil)
-	surr, err := tw.surrogate([]workload.Suite{workload.SPEC92, workload.SPEC95}, *scale, *cacheScale, *workers)
+	pool := env.gridPool(*workers, nil)
+	surr, err := tw.surrogate(env, []workload.Suite{workload.SPEC92, workload.SPEC95}, *scale, *cacheScale, *workers)
 	if err != nil {
 		return err
 	}
@@ -47,7 +47,7 @@ func runExport(args []string) error {
 		SkipTiming: *skipTiming,
 		Workers:    *workers,
 		Pool:       &pool,
-		Corpus:     activeCorpus(),
+		Corpus:     env.corpus,
 	})
 	if err != nil {
 		return err
@@ -67,7 +67,7 @@ func runExport(args []string) error {
 // by generation, and watch the bandwidth-stall fraction grow — then grow
 // the on-chip memory by 4x per generation (with processing "only" 2x
 // faster, the TMM balance point) and watch the balance hold.
-func runFuture(args []string) error {
+func runFuture(env *env, args []string) error {
 	fs := flag.NewFlagSet("future", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -76,7 +76,7 @@ func runFuture(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	p, err := corpusProgram(*bench, *scale)
+	p, err := env.program(*bench, *scale)
 	if err != nil {
 		return err
 	}

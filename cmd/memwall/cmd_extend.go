@@ -26,7 +26,7 @@ func init() {
 	register("ablate", "Section 5.3/6: traffic-reduction scheme ablations", runAblate)
 }
 
-func runCMP(args []string) error {
+func runCMP(env *env, args []string) error {
 	fs := flag.NewFlagSet("cmp", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -35,7 +35,7 @@ func runCMP(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	p, err := corpusProgram(*bench, *scale)
+	p, err := env.program(*bench, *scale)
 	if err != nil {
 		return err
 	}
@@ -94,7 +94,7 @@ func runCMP(args []string) error {
 	return nil
 }
 
-func runAblate(args []string) error {
+func runAblate(env *env, args []string) error {
 	fs := flag.NewFlagSet("ablate", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	benchList := fs.String("bench", "compress,eqntott,swm", "comma-separated workloads")
@@ -107,7 +107,7 @@ func runAblate(args []string) error {
 		"benchmark", "32B blocks", "4B sector", "write-validate", "MTC", "MTC+clean-pref")
 	for _, name := range strings.Split(*benchList, ",") {
 		name = strings.TrimSpace(name)
-		e := corpusEntry(name, *scale)
+		e := env.corpus.Get(name, *scale)
 		refs, err := e.Refs()
 		if err != nil {
 			return err
@@ -157,7 +157,7 @@ func runAblate(args []string) error {
 	vt := tablefmt.New("Victim-cache timing ablation (machine D)",
 		"benchmark", "cycles", "+victim cache", "speedup", "victim hits")
 	for _, name := range []string{"su2cor", "swm"} {
-		p, err := corpusProgram(name, *scale)
+		p, err := env.program(name, *scale)
 		if err != nil {
 			return err
 		}

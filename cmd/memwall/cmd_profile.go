@@ -17,7 +17,7 @@ func init() {
 	register("profile", "simulation-throughput table (sim-cycles/sec), experiments A-F", runProfile)
 }
 
-func runProfile(args []string) error {
+func runProfile(env *env, args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -30,7 +30,7 @@ func runProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := corpusProgram(*bench, *scale)
+	p, err := env.program(*bench, *scale)
 	if err != nil {
 		return err
 	}
@@ -43,7 +43,7 @@ func runProfile(args []string) error {
 			*bench, suite, *scale),
 		"exp", "insts/run", "T cycles", "wall ms", "sim-cycles/s", "sim-MIPS", "mem-refs/s")
 	for _, m := range core.MachinesScaled(suite, *cacheScale) {
-		m.Obs = observation()
+		m.Obs = env.obs
 		// One stream per Decompose call (the ownership rule on
 		// core.Decompose): sharing a single stream across machines was
 		// correct only because cpu.Run resets it, and became a latent

@@ -21,7 +21,7 @@ func init() {
 	register("scratchpad", "Section 6: compiler-managed on-chip data placement study", runScratchpad)
 }
 
-func runScratchpad(args []string) error {
+func runScratchpad(env *env, args []string) error {
 	fs := flag.NewFlagSet("scratchpad", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -31,7 +31,7 @@ func runScratchpad(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	p, err := corpusProgram(*bench, *scale)
+	p, err := env.program(*bench, *scale)
 	if err != nil {
 		return err
 	}

@@ -47,7 +47,7 @@ func (c *checkResult) collect(msgs []string) {
 	}
 }
 
-func runSelfcheck(args []string) error {
+func runSelfcheck(env *env, args []string) error {
 	fs := flag.NewFlagSet("selfcheck", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -76,7 +76,7 @@ func runSelfcheck(args []string) error {
 
 	progs := map[string]*workload.Program{}
 	for _, name := range names {
-		p, err := corpusProgram(name, *scale)
+		p, err := env.program(name, *scale)
 		if err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func runSelfcheck(args []string) error {
 	// through every check grid; the per-check labels below double as the
 	// ledger's cell keys.
 	pool := func(label func(i int) string) runner.Config {
-		return gridPool(*workers, label)
+		return env.gridPool(*workers, label)
 	}
 
 	var results []checkResult
@@ -125,7 +125,7 @@ func runSelfcheck(args []string) error {
 		// Tasks share one corpus entry per benchmark: the reference slice is
 		// read-only and the word-grain future table is built once, no matter
 		// how many (benchmark, size) cells land on the grid.
-		e := corpusEntry(g.name, *scale)
+		e := env.corpus.Get(g.name, *scale)
 		refs, err := e.Refs()
 		if err != nil {
 			return "", err
@@ -167,7 +167,7 @@ func runSelfcheck(args []string) error {
 	ladders, err := runner.Map(ctx, pool(func(i int) string {
 		return "selfcheck:lru-inclusion:" + names[i]
 	}), len(names), func(ctx context.Context, i int, _ *telemetry.Tracer) (ladder, error) {
-		refs, err := corpusEntry(names[i], *scale).Refs()
+		refs, err := env.corpus.Get(names[i], *scale).Refs()
 		if err != nil {
 			return ladder{}, err
 		}
@@ -207,7 +207,7 @@ func runSelfcheck(args []string) error {
 		if err != nil {
 			return "", err
 		}
-		refs, err := corpusEntry(name, *scale).Refs()
+		refs, err := env.corpus.Get(name, *scale).Refs()
 		if err != nil {
 			return "", err
 		}
@@ -255,75 +255,81 @@ func runSelfcheck(args []string) error {
 	c4.collect(msgs)
 	results = append(results, c4)
 
+	// The timing checks run their (benchmark × machine) cells through the
+	// grid executor, one grid per run of same-suite names, so cells come
+	// back in the check's own order.
+	type timedCell struct {
+		name, exp string
+		res       core.DecomposeResult
+	}
+	timingCells := func(check string, names []string, machines func(workload.Suite) ([]core.Machine, error)) ([]timedCell, error) {
+		var out []timedCell
+		for start := 0; start < len(names); {
+			suite := progs[names[start]].Suite
+			var ps []*workload.Program
+			for ; start < len(names) && progs[names[start]].Suite == suite; start++ {
+				ps = append(ps, progs[names[start]])
+			}
+			ms, err := machines(suite)
+			if err != nil {
+				return nil, err
+			}
+			res, err := core.Grid{Suite: suite, Progs: ps, Machines: ms, Span: "selfcheck:" + check, Key: "selfcheck:" + check}.Run(pool(nil))
+			if err != nil {
+				return nil, err
+			}
+			for pi, p := range ps {
+				for mi, m := range ms {
+					out = append(out, timedCell{p.Name, m.Name, res[pi*len(ms)+mi]})
+				}
+			}
+		}
+		return out, nil
+	}
+
 	// Check 5 (timing): T_P <= T_I <= T on every machine.
 	if *timing {
 		c5 := checkResult{name: "decomposition ordering (T_P <= T_I <= T, machines A/C/F)"}
-		type timedCell struct {
-			name, exp string
-		}
-		var grid5 []timedCell
-		for _, name := range pick("espresso", "su2cor", "li", "swim95") {
-			for _, expName := range []string{"A", "C", "F"} {
-				grid5 = append(grid5, timedCell{name, expName})
-			}
-		}
-		msgs, err = runner.Map(ctx, pool(func(i int) string {
-			return fmt.Sprintf("selfcheck:ordering:%s/%s", grid5[i].name, grid5[i].exp)
-		}), len(grid5), func(ctx context.Context, i int, tracer *telemetry.Tracer) (string, error) {
-			g := grid5[i]
-			p := progs[g.name]
-			m, err := core.MachineByName(p.Suite, g.exp, *cacheScale)
-			if err != nil {
-				return "", err
-			}
-			m.Obs = taskObservation(tracer)
-			// Per-task stream: see the core.Decompose ownership rule.
-			res, err := core.Decompose(m, p.Stream())
-			if err != nil {
-				return "", err
-			}
-			if err := res.Validate(); err != nil {
-				return fmt.Sprintf("%s/%s: %v", g.name, g.exp, err), nil
-			}
-			return "", nil
+		cells, err := timingCells("ordering", pick("espresso", "su2cor", "li", "swim95"), func(suite workload.Suite) ([]core.Machine, error) {
+			return machinesNamed(suite, *cacheScale, "A", "C", "F")
 		})
 		if err != nil {
 			return err
+		}
+		msgs = nil
+		for _, c := range cells {
+			msg := ""
+			if err := c.res.Validate(); err != nil {
+				msg = fmt.Sprintf("%s/%s: %v", c.name, c.exp, err)
+			}
+			msgs = append(msgs, msg)
 		}
 		c5.collect(msgs)
 		results = append(results, c5)
 
 		// Check 6 (timing): wider buses never slow the full system down.
 		c6 := checkResult{name: "bus-width monotonicity (2x width never slower)"}
-		busNames := pick("su2cor", "swm")
-		msgs, err = runner.Map(ctx, pool(func(i int) string {
-			return "selfcheck:bus-width:" + busNames[i]
-		}), len(busNames), func(ctx context.Context, i int, tracer *telemetry.Tracer) (string, error) {
-			name := busNames[i]
-			p := progs[name]
-			m, err := core.MachineByName(workload.SPEC92, "F", *cacheScale)
+		cells, err = timingCells("bus-width", pick("su2cor", "swm"), func(suite workload.Suite) ([]core.Machine, error) {
+			ms, err := machinesNamed(suite, *cacheScale, "F", "F")
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			m.Obs = taskObservation(tracer)
-			base, err := core.Decompose(m, p.Stream())
-			if err != nil {
-				return "", err
-			}
-			wide := m
-			wide.Mem.L1L2Bus.WidthBytes *= 2
-			wide.Mem.MemBus.WidthBytes *= 2
-			w, err := core.Decompose(wide, p.Stream())
-			if err != nil {
-				return "", err
-			}
-			if w.T > base.T {
-				return fmt.Sprintf("%s: %d -> %d cycles", name, base.T, w.T), nil
-			}
-			return "", nil
+			ms[1].Name = "F-2xbus"
+			ms[1].Mem.L1L2Bus.WidthBytes *= 2
+			ms[1].Mem.MemBus.WidthBytes *= 2
+			return ms, nil
 		})
 		if err != nil {
 			return err
+		}
+		msgs = nil
+		for i := 0; i < len(cells); i += 2 {
+			base, wide := cells[i], cells[i+1]
+			msg := ""
+			if wide.res.T > base.res.T {
+				msg = fmt.Sprintf("%s: %d -> %d cycles", base.name, base.res.T, wide.res.T)
+			}
+			msgs = append(msgs, msg)
 		}
 		c6.collect(msgs)
 		results = append(results, c6)
@@ -338,55 +344,34 @@ func runSelfcheck(args []string) error {
 		// buffer + victim-cache variant of C so the buffer terms are
 		// exercised, and E so prefetches are.
 		c7 := checkResult{name: "miss accounting (L1 and L2 ledgers conserve)"}
-		type acctCell struct {
-			name, exp string
-			buffers   bool
-		}
-		var grid7 []acctCell
-		for _, name := range pick("compress", "su2cor", "li") {
-			for _, expName := range []string{"A", "C", "E"} {
-				grid7 = append(grid7, acctCell{name, expName, false})
-			}
-			grid7 = append(grid7, acctCell{name, "C", true})
-		}
-		msgs, err = runner.Map(ctx, pool(func(i int) string {
-			g := grid7[i]
-			key := "selfcheck:miss-accounting:" + g.name + "/" + g.exp
-			if g.buffers {
-				key += "+buffers"
-			}
-			return key
-		}), len(grid7), func(ctx context.Context, i int, tracer *telemetry.Tracer) (string, error) {
-			g := grid7[i]
-			p := progs[g.name]
-			m, err := core.MachineByName(p.Suite, g.exp, *cacheScale)
+		cells, err = timingCells("miss-accounting", pick("compress", "su2cor", "li"), func(suite workload.Suite) ([]core.Machine, error) {
+			ms, err := machinesNamed(suite, *cacheScale, "A", "C", "E", "C")
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			if g.buffers {
-				m.Mem.StreamBuffers = mem.StreamBufferConfig{Buffers: 4, Depth: 4}
-				m.Mem.VictimCache = mem.VictimCacheConfig{Entries: 4}
-			}
-			m.Obs = taskObservation(tracer)
-			res, err := core.Decompose(m, p.Stream())
-			if err != nil {
-				return "", err
-			}
-			st := res.Full.Mem
-			accesses := st.Loads + st.Stores
-			classified := st.ScratchpadHits + st.L1Hits + st.L1MergedMisses + st.L1Misses
-			if accesses != classified {
-				return fmt.Sprintf("%s/%s: L1 ledger leaks: %d accesses, %d classified", g.name, g.exp, accesses, classified), nil
-			}
-			l2Accesses := (st.L1Misses - st.VictimHits - st.StreamBufHits) + st.Prefetches + st.StreamBufPrefetches
-			l2Classified := st.L2Hits + st.L2MergedMisses + st.L2Misses
-			if l2Accesses != l2Classified {
-				return fmt.Sprintf("%s/%s: L2 ledger leaks: %d accesses, %d classified", g.name, g.exp, l2Accesses, l2Classified), nil
-			}
-			return "", nil
+			ms[3].Name = "C+buffers"
+			ms[3].Mem.StreamBuffers = mem.StreamBufferConfig{Buffers: 4, Depth: 4}
+			ms[3].Mem.VictimCache = mem.VictimCacheConfig{Entries: 4}
+			return ms, nil
 		})
 		if err != nil {
 			return err
+		}
+		msgs = nil
+		for _, c := range cells {
+			st := c.res.Full.Mem
+			accesses := st.Loads + st.Stores
+			classified := st.ScratchpadHits + st.L1Hits + st.L1MergedMisses + st.L1Misses
+			l2Accesses := (st.L1Misses - st.VictimHits - st.StreamBufHits) + st.Prefetches + st.StreamBufPrefetches
+			l2Classified := st.L2Hits + st.L2MergedMisses + st.L2Misses
+			msg := ""
+			switch {
+			case accesses != classified:
+				msg = fmt.Sprintf("%s/%s: L1 ledger leaks: %d accesses, %d classified", c.name, c.exp, accesses, classified)
+			case l2Accesses != l2Classified:
+				msg = fmt.Sprintf("%s/%s: L2 ledger leaks: %d accesses, %d classified", c.name, c.exp, l2Accesses, l2Classified)
+			}
+			msgs = append(msgs, msg)
 		}
 		c7.collect(msgs)
 		results = append(results, c7)

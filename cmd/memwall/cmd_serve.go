@@ -41,7 +41,7 @@ func init() {
 	register("serve", "HTTP simulation service: bounded queue, admission control, coalescing, graceful drain", runServe)
 }
 
-func runServe(args []string) error {
+func runServe(env *env, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8377", "listen address")
 	workers := workersFlag(fs)
@@ -64,12 +64,12 @@ func runServe(args []string) error {
 		Rate:           *rate,
 		Burst:          *burst,
 		RequestTimeout: *requestTimeout,
-		CheckpointDir:  activeCheckpointDir(),
-		FS:             activeFS(),
-		Fault:          activeFault(),
-		Corpus:         activeCorpus(),
-		Obs:            observation(),
-		Metrics:        observation().Metrics,
+		CheckpointDir:  env.checkpointDir,
+		FS:             env.fs,
+		Fault:          env.fault,
+		Corpus:         env.corpus,
+		Obs:            env.obs,
+		Metrics:        env.obs.Metrics,
 	}
 	if *twinModel != "" {
 		m, err := twin.LoadModel(*twinModel)
@@ -81,7 +81,7 @@ func runServe(args []string) error {
 		if err := m.CheckConfig(workload.BaseSeed, m.Scale, m.CacheScale); err != nil {
 			return err
 		}
-		sur, err := twin.NewSurrogate(m, 0, observation().Metrics)
+		sur, err := twin.NewSurrogate(m, 0, env.obs.Metrics)
 		if err != nil {
 			return err
 		}
@@ -102,15 +102,17 @@ func runServe(args []string) error {
 	hs := &http.Server{Handler: s.Handler()}
 
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
 	if *smoke {
+		go func() { serveErr <- hs.Serve(ln) }()
 		return serveSmoke(s, hs, ln.Addr().String(), *drainTimeout)
 	}
 
-	fmt.Fprintf(os.Stderr, "memwall serve: listening on http://%s (POST /v1/experiments; SIGTERM drains)\n", ln.Addr())
+	// The handler goes in before the listener serves: a SIGTERM that
+	// arrives as soon as /healthz first answers must drain, not kill.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	go func() { serveErr <- hs.Serve(ln) }()
+	fmt.Fprintf(os.Stderr, "memwall serve: listening on http://%s (POST /v1/experiments; SIGTERM drains)\n", ln.Addr())
 	select {
 	case err := <-serveErr:
 		return err

@@ -4,7 +4,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"strings"
@@ -35,20 +34,29 @@ func parseSuite(s string) (workload.Suite, error) {
 	}
 }
 
-// timingBenchmarks returns the Figure 3 benchmark list for a suite. The
-// paper's SPEC92 panel omits dnasa2 (it appears only in the trace-driven
-// traffic studies). The twin package owns the list so its calibration
-// grid and the timing commands can never drift apart.
-func timingBenchmarks(suite workload.Suite) []string {
-	return twin.TimingBenchmarks(suite)
+// machinesNamed returns the named experiments of a suite, in order.
+func machinesNamed(suite workload.Suite, cacheScale int, names ...string) ([]core.Machine, error) {
+	var ms []core.Machine
+	for _, name := range names {
+		m, err := core.MachineByName(suite, name, cacheScale)
+		if err != nil {
+			return nil, err
+		}
+		ms = append(ms, m)
+	}
+	return ms, nil
 }
 
-func generateSuite(suite workload.Suite, scale int) ([]*workload.Program, error) {
+// generateSuite returns the Figure 3 programs of a suite. The twin
+// package owns the benchmark list (the paper's SPEC92 panel omits
+// dnasa2) so its calibration grid and the timing commands can never
+// drift apart.
+func (env *env) generateSuite(suite workload.Suite, scale int) ([]*workload.Program, error) {
 	var progs []*workload.Program
-	for _, name := range timingBenchmarks(suite) {
+	for _, name := range twin.TimingBenchmarks(suite) {
 		// Programs come from the corpus so fig3/table6 runs in the same
 		// invocation (e.g. `memwall all`) share one generation each.
-		p, err := corpusProgram(name, scale)
+		p, err := env.program(name, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -57,7 +65,7 @@ func generateSuite(suite workload.Suite, scale int) ([]*workload.Program, error)
 	return progs, nil
 }
 
-func runFig3(args []string) error {
+func runFig3(env *env, args []string) error {
 	fs := flag.NewFlagSet("fig3", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -71,12 +79,12 @@ func runFig3(args []string) error {
 	if err != nil {
 		return usageErr(err)
 	}
-	surr, err := tw.surrogate(suites, *scale, *cacheScale, *workers)
+	surr, err := tw.surrogate(env, suites, *scale, *cacheScale, *workers)
 	if err != nil {
 		return err
 	}
 	for _, suite := range suites {
-		progs, err := generateSuite(suite, *scale)
+		progs, err := env.generateSuite(suite, *scale)
 		if err != nil {
 			return err
 		}
@@ -84,7 +92,7 @@ func runFig3(args []string) error {
 		// Figure3Pool names the cells (suite-qualified keys in the ledger).
 		// With -twin, the surrogate serves each cell it covers and the
 		// runner re-simulates the sampled subset as ground truth.
-		pool := gridPool(*workers, nil)
+		pool := env.gridPool(*workers, nil)
 		if surr != nil {
 			pool.Twin = surr
 		}
@@ -140,7 +148,7 @@ func printFig3Bars(cells []core.BenchmarkDecomposition) {
 	fmt.Println()
 }
 
-func runTable6(args []string) error {
+func runTable6(env *env, args []string) error {
 	fs := flag.NewFlagSet("table6", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -154,100 +162,48 @@ func runTable6(args []string) error {
 	if err != nil {
 		return usageErr(err)
 	}
-	surr, err := tw.surrogate(suites, *scale, *cacheScale, *workers)
+	surr, err := tw.surrogate(env, suites, *scale, *cacheScale, *workers)
 	if err != nil {
 		return err
 	}
-	type task struct {
-		suite workload.Suite
-		p     *workload.Program
-	}
-	var tasks []task
+	// Rows are the A and F cells of the Figure 3 grid, run through the
+	// same executor; with -twin the runner serves them from the surrogate
+	// and re-simulates its deterministic sample as ground truth.
+	t := tablefmt.New("Table 6: latency vs bandwidth stalls (% of execution time), experiments A and F",
+		"benchmark", "A: f_L%", "A: f_B%", "F: f_L%", "F: f_B%", "F: f_B>f_L")
 	for _, suite := range suites {
-		progs, err := generateSuite(suite, *scale)
+		progs, err := env.generateSuite(suite, *scale)
 		if err != nil {
 			return err
 		}
-		for _, p := range progs {
-			tasks = append(tasks, task{suite, p})
+		machines, err := machinesNamed(suite, *cacheScale, "A", "F")
+		if err != nil {
+			return err
 		}
-	}
-	rows, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
-		return "table6:" + tasks[i].p.Name
-	}), len(tasks), func(ctx context.Context, i int, tracer *telemetry.Tracer) ([]string, error) {
-		tk := tasks[i]
-		row := []string{tk.p.Name}
-		var fbWins bool
-		for ei, expName := range []string{"A", "F"} {
-			var res core.Decomposition
-			if surr != nil {
-				// Twin cell (shared with the Figure 3 grid). The sampled
-				// subset — deterministic in the flattened cell index, so the
-				// sample is identical at any worker count — is re-simulated
-				// and checked against the calibrated bound.
-				key := core.Figure3CellKey(tk.suite, tk.p.Name, expName)
-				cell, ok := surr.Cell(key)
-				if !ok {
-					return nil, fmt.Errorf("twin model does not cover %s", key)
-				}
-				if surr.Sampled(2*i + ei) {
-					truth, err := table6Decompose(tk.suite, expName, *cacheScale, tk.p, tracer)
-					if err != nil {
-						return nil, err
-					}
-					tb, err := json.Marshal(truth)
-					if err != nil {
-						return nil, fmt.Errorf("%s: encoding ground truth: %w", key, err)
-					}
-					if err := surr.Validate(key, nil, tb); err != nil {
-						return nil, err
-					}
-				}
-				res = cell.Decomposition
-			} else {
-				full, err := table6Decompose(tk.suite, expName, *cacheScale, tk.p, tracer)
-				if err != nil {
-					return nil, err
-				}
-				res = full.Decomposition
-			}
-			row = append(row,
-				fmt.Sprintf("%.1f", res.FL()*100),
-				fmt.Sprintf("%.1f", res.FB()*100))
-			if expName == "F" {
-				fbWins = res.FB() > res.FL()
-			}
+		pool := env.gridPool(*workers, nil)
+		if surr != nil {
+			pool.Twin = surr
 		}
-		return append(row, fmt.Sprintf("%v", fbWins)), nil
-	})
-	if err != nil {
-		return err
-	}
-	t := tablefmt.New("Table 6: latency vs bandwidth stalls (% of execution time), experiments A and F",
-		"benchmark", "A: f_L%", "A: f_B%", "F: f_L%", "F: f_B%", "F: f_B>f_L")
-	for _, row := range rows {
-		t.AddRow(row...)
+		res, err := core.Grid{Suite: suite, Progs: progs, Machines: machines, Span: "table6", Key: "table6"}.Run(pool)
+		if err != nil {
+			return err
+		}
+		for bi, p := range progs {
+			a, f := res[2*bi], res[2*bi+1]
+			t.AddRow(p.Name,
+				fmt.Sprintf("%.1f", a.FL()*100), fmt.Sprintf("%.1f", a.FB()*100),
+				fmt.Sprintf("%.1f", f.FL()*100), fmt.Sprintf("%.1f", f.FB()*100),
+				fmt.Sprintf("%v", f.FB() > f.FL()))
+		}
 	}
 	fmt.Println(t)
 	return nil
 }
 
-// table6Decompose runs the full three-simulation decomposition for one
-// Table 6 cell.
-func table6Decompose(suite workload.Suite, expName string, cacheScale int, p *workload.Program, tracer *telemetry.Tracer) (core.DecomposeResult, error) {
-	m, err := core.MachineByName(suite, expName, cacheScale)
-	if err != nil {
-		return core.DecomposeResult{}, err
-	}
-	m.Obs = taskObservation(tracer)
-	// Per-task stream: see the core.Decompose ownership rule.
-	return core.Decompose(m, p.Stream())
-}
-
 // runTable1 measures the directional claims of the paper's Table 1 by
 // toggling individual machine features on a composite workload and
 // reporting how f_P, f_L, f_B move.
-func runTable1(args []string) error {
+func runTable1(env *env, args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -256,7 +212,7 @@ func runTable1(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	p, err := corpusProgram(*bench, *scale)
+	p, err := env.program(*bench, *scale)
 	if err != nil {
 		return err
 	}
@@ -264,7 +220,7 @@ func runTable1(args []string) error {
 	if err != nil {
 		return err
 	}
-	base.Obs = observation()
+	base.Obs = env.obs
 	baseRes, err := core.Decompose(base, p.Stream())
 	if err != nil {
 		return err
@@ -323,13 +279,13 @@ func runTable1(args []string) error {
 			m.Mem.MemBus.WidthBytes *= 2
 		}},
 	}
-	decomps, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
+	decomps, err := runner.Map(context.Background(), env.gridPool(*workers, func(i int) string {
 		return "table1:" + variants[i].name
 	}), len(variants), func(ctx context.Context, i int, tracer *telemetry.Tracer) (core.Decomposition, error) {
 		v := variants[i]
 		m := base
 		v.mut(&m)
-		m.Obs = taskObservation(tracer)
+		m.Obs = env.taskObservation(tracer)
 		// Per-task stream: see the core.Decompose ownership rule.
 		res, err := core.Decompose(m, p.Stream())
 		if err != nil {

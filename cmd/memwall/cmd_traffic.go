@@ -41,7 +41,7 @@ var cacheSizes = []int{
 	64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20,
 }
 
-func runTable3(args []string) error {
+func runTable3(env *env, args []string) error {
 	fs := flag.NewFlagSet("table3", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
@@ -50,7 +50,7 @@ func runTable3(args []string) error {
 	t := tablefmt.New("Table 3: benchmark trace lengths and data sets (surrogates at -scale)",
 		"Benchmark", "suite", "insts (K)", "refs (K)", "data set (KB)")
 	for _, name := range workload.Names() {
-		p, err := corpusProgram(name, *scale)
+		p, err := env.program(name, *scale)
 		if err != nil {
 			return err
 		}
@@ -66,10 +66,10 @@ func runTable3(args []string) error {
 // spec92Traces materializes the SPEC92 surrogate traces used by the
 // traffic studies (the paper runs Tables 7-9 on SPEC92 only) and returns
 // their corpus entries, keyed by benchmark.
-func spec92Traces(scale int) (map[string]*corpus.Entry, error) {
+func (env *env) spec92Traces(scale int) (map[string]*corpus.Entry, error) {
 	entries := make(map[string]*corpus.Entry)
 	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := corpusEntry(name, scale)
+		e := env.corpus.Get(name, scale)
 		if _, err := e.Refs(); err != nil {
 			return nil, err
 		}
@@ -78,14 +78,14 @@ func spec92Traces(scale int) (map[string]*corpus.Entry, error) {
 	return entries, nil
 }
 
-func runTable7(args []string) error {
+func runTable7(env *env, args []string) error {
 	fs := flag.NewFlagSet("table7", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	workers := workersFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := spec92Traces(*scale)
+	entries, err := env.spec92Traces(*scale)
 	if err != nil {
 		return err
 	}
@@ -101,7 +101,7 @@ func runTable7(args []string) error {
 	type trafficRow struct {
 		Cells []core.RatioResult
 	}
-	rows, err := runner.Map(context.Background(), gridPool(*workers, func(i int) string {
+	rows, err := runner.Map(context.Background(), env.gridPool(*workers, func(i int) string {
 		return "table7:" + names[i]
 	}), len(names), func(ctx context.Context, i int, _ *telemetry.Tracer) (trafficRow, error) {
 		e := entries[names[i]]
@@ -131,7 +131,7 @@ func runTable7(args []string) error {
 	for i, name := range names {
 		row := []string{name}
 		for j, res := range rows[i].Cells {
-			res.Stats.Publish(observation().Metrics,
+			res.Stats.Publish(env.obs.Metrics,
 				fmt.Sprintf("cache.%s.%s", name, tablefmt.Bytes(int64(cacheSizes[j]))))
 			results[name] = append(results[name], res)
 			if res.FitsDataSet {
@@ -170,13 +170,13 @@ func runTable7(args []string) error {
 	return nil
 }
 
-func runTable8(args []string) error {
+func runTable8(env *env, args []string) error {
 	fs := flag.NewFlagSet("table8", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := spec92Traces(*scale)
+	entries, err := env.spec92Traces(*scale)
 	if err != nil {
 		return err
 	}
@@ -210,7 +210,7 @@ func runTable8(args []string) error {
 	return nil
 }
 
-func runFig4(args []string) error {
+func runFig4(env *env, args []string) error {
 	fs := flag.NewFlagSet("fig4", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	benchList := fs.String("bench", "compress,eqntott,swm", "comma-separated benchmarks to plot")
@@ -221,7 +221,7 @@ func runFig4(args []string) error {
 	blockSizes := []int{4, 8, 16, 32, 64, 128}
 	for _, name := range strings.Split(*benchList, ",") {
 		name = strings.TrimSpace(name)
-		e := corpusEntry(name, *scale)
+		e := env.corpus.Get(name, *scale)
 		refs, err := e.Refs()
 		if err != nil {
 			return err
@@ -292,13 +292,13 @@ func runFig4(args []string) error {
 	return nil
 }
 
-func runTable9(args []string) error {
+func runTable9(env *env, args []string) error {
 	fs := flag.NewFlagSet("table9", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := spec92Traces(*scale)
+	entries, err := env.spec92Traces(*scale)
 	if err != nil {
 		return err
 	}
@@ -352,7 +352,7 @@ func runTable9(args []string) error {
 	return nil
 }
 
-func runEpin(args []string) error {
+func runEpin(env *env, args []string) error {
 	fs := flag.NewFlagSet("epin", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	pinBW := fs.Float64("pinbw", 1600, "raw pin bandwidth in MB/s (R10000-class package)")
@@ -361,7 +361,7 @@ func runEpin(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := spec92Traces(*scale)
+	entries, err := env.spec92Traces(*scale)
 	if err != nil {
 		return err
 	}

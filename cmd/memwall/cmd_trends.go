@@ -18,7 +18,7 @@ func init() {
 	register("extrapolate", "Section 4.3: the processor of 2006", runExtrapolate)
 }
 
-func runFig1(args []string) error {
+func runFig1(env *env, args []string) error {
 	fs := flag.NewFlagSet("fig1", flag.ContinueOnError)
 	plot := fs.Bool("plot", true, "render ASCII plots")
 	if err := parseFlags(fs, args); err != nil {
@@ -66,7 +66,7 @@ func runFig1(args []string) error {
 	return nil
 }
 
-func runTable2(args []string) error {
+func runTable2(env *env, args []string) error {
 	fs := flag.NewFlagSet("table2", flag.ContinueOnError)
 	n := fs.Float64("n", 4096, "problem size N for numeric evaluation")
 	s := fs.Float64("s", 65536, "on-chip memory size S (words)")
@@ -89,7 +89,7 @@ func runTable2(args []string) error {
 	return nil
 }
 
-func runFig2(args []string) error {
+func runFig2(env *env, args []string) error {
 	fs := flag.NewFlagSet("fig2", flag.ContinueOnError)
 	proc := fs.Float64("proc", 0.60, "processor bandwidth growth per year")
 	pin := fs.Float64("pin", 0.25, "off-chip bandwidth growth per year")
@@ -122,7 +122,7 @@ func runFig2(args []string) error {
 	return nil
 }
 
-func runExtrapolate(args []string) error {
+func runExtrapolate(env *env, args []string) error {
 	fs := flag.NewFlagSet("extrapolate", flag.ContinueOnError)
 	pins := fs.Float64("pins", 500, "base package pin count")
 	pinG := fs.Float64("pingrowth", 0.16, "pin growth per year")

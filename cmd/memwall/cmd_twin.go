@@ -20,13 +20,13 @@ func init() {
 	register("twin", "calibrate the analytical twin (closed-form T_P/T_L/T_B) against the simulator", runTwin)
 }
 
-func runTwin(args []string) error {
+func runTwin(env *env, args []string) error {
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		return usageErr(fmt.Errorf("usage: memwall twin calibrate [flags]"))
 	}
 	switch args[0] {
 	case "calibrate":
-		return runTwinCalibrate(args[1:])
+		return runTwinCalibrate(env, args[1:])
 	default:
 		return usageErr(fmt.Errorf("unknown twin verb %q (want calibrate)", args[0]))
 	}
@@ -78,7 +78,7 @@ func calibrationGrids(suites []workload.Suite, benches string) ([]twin.SuiteGrid
 	return grids, nil
 }
 
-func runTwinCalibrate(args []string) error {
+func runTwinCalibrate(env *env, args []string) error {
 	fs := flag.NewFlagSet("twin calibrate", flag.ContinueOnError)
 	scale := scaleFlag(fs)
 	cacheScale := cacheScaleFlag(fs)
@@ -104,8 +104,8 @@ func runTwinCalibrate(args []string) error {
 		Grids:      grids,
 		Scale:      *scale,
 		CacheScale: *cacheScale,
-		Corpus:     activeCorpus(),
-		Pool:       gridPool(*workers, nil),
+		Corpus:     env.corpus,
+		Pool:       env.gridPool(*workers, nil),
 	})
 	if err != nil {
 		return err
@@ -170,7 +170,7 @@ func twinFlags(fs *flag.FlagSet) *twinOpts {
 // surrogate loads (or fits in-process) the twin model and packages it as
 // the runner's surrogate seam; nil when -twin is off. A model loaded from
 // -twin-model must match the run's seed, -scale, and -cachescale.
-func (o *twinOpts) surrogate(suites []workload.Suite, scale, cacheScale, workers int) (*twin.Surrogate, error) {
+func (o *twinOpts) surrogate(env *env, suites []workload.Suite, scale, cacheScale, workers int) (*twin.Surrogate, error) {
 	if o == nil || !o.enabled {
 		return nil, nil
 	}
@@ -193,14 +193,14 @@ func (o *twinOpts) surrogate(suites []workload.Suite, scale, cacheScale, workers
 			Grids:      grids,
 			Scale:      scale,
 			CacheScale: cacheScale,
-			Corpus:     activeCorpus(),
-			Pool:       gridPool(workers, nil),
+			Corpus:     env.corpus,
+			Pool:       env.gridPool(workers, nil),
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	return twin.NewSurrogate(m, o.sample, observation().Metrics)
+	return twin.NewSurrogate(m, o.sample, env.obs.Metrics)
 }
 
 // predictMicros times the fitted predictor over the full calibrated grid

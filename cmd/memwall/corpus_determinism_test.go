@@ -11,20 +11,17 @@ import (
 	"memwall/internal/corpus"
 )
 
-// withCorpus runs fn with the process-wide corpus installed (as
-// runObserved would) and restores the disabled state afterwards.
-func withCorpus(t *testing.T, opts corpus.Options, fn func() error) string {
-	t.Helper()
-	currentCorpus = corpus.New(opts)
-	defer func() { currentCorpus = nil }()
-	return capture(t, fn)
+// withCorpus returns an env with a shared corpus installed, as
+// runObserved builds it for -corpus.
+func withCorpus(opts corpus.Options) *env {
+	return &env{corpus: corpus.New(opts)}
 }
 
 // TestTable7CorpusOnOffIdentical requires the Table 7 emission with the
 // shared corpus to match the regenerate-per-cell path byte for byte.
 func TestTable7CorpusOnOffIdentical(t *testing.T) {
-	off := capture(t, func() error { return runTable7(nil) })
-	on := withCorpus(t, corpus.Options{}, func() error { return runTable7(nil) })
+	off := capture(t, func() error { return runTable7(&env{}, nil) })
+	on := capture(t, func() error { return runTable7(withCorpus(corpus.Options{}), nil) })
 	if on != off {
 		t.Errorf("table7 output differs corpus-on vs corpus-off:\n on:\n%s\n off:\n%s", on, off)
 	}
@@ -34,8 +31,8 @@ func TestTable7CorpusOnOffIdentical(t *testing.T) {
 // reference simulation and factor sweep both ride the corpus's shared
 // future tables.
 func TestTable9CorpusOnOffIdentical(t *testing.T) {
-	off := capture(t, func() error { return runTable9(nil) })
-	on := withCorpus(t, corpus.Options{}, func() error { return runTable9(nil) })
+	off := capture(t, func() error { return runTable9(&env{}, nil) })
+	on := capture(t, func() error { return runTable9(withCorpus(corpus.Options{}), nil) })
 	if on != off {
 		t.Errorf("table9 output differs corpus-on vs corpus-off:\n on:\n%s\n off:\n%s", on, off)
 	}
@@ -46,9 +43,9 @@ func TestTable9CorpusOnOffIdentical(t *testing.T) {
 // back) must both match the in-memory emission.
 func TestTable7DiskCorpusIdentical(t *testing.T) {
 	dir := t.TempDir()
-	mem := withCorpus(t, corpus.Options{}, func() error { return runTable7(nil) })
-	cold := withCorpus(t, corpus.Options{Dir: dir}, func() error { return runTable7(nil) })
-	warm := withCorpus(t, corpus.Options{Dir: dir}, func() error { return runTable7(nil) })
+	mem := capture(t, func() error { return runTable7(withCorpus(corpus.Options{}), nil) })
+	cold := capture(t, func() error { return runTable7(withCorpus(corpus.Options{Dir: dir}), nil) })
+	warm := capture(t, func() error { return runTable7(withCorpus(corpus.Options{Dir: dir}), nil) })
 	if cold != mem {
 		t.Errorf("table7 output differs with cold disk corpus:\n disk:\n%s\n mem:\n%s", cold, mem)
 	}
@@ -64,8 +61,8 @@ func TestFig3CorpusParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	ref := capture(t, func() error { return runFig3([]string{"-suite", "92", "-j", "1"}) })
-	shared := withCorpus(t, corpus.Options{}, func() error { return runFig3([]string{"-suite", "92", "-j", "8"}) })
+	ref := capture(t, func() error { return runFig3(&env{}, []string{"-suite", "92", "-j", "1"}) })
+	shared := capture(t, func() error { return runFig3(withCorpus(corpus.Options{}), []string{"-suite", "92", "-j", "8"}) })
 	if shared != ref {
 		t.Errorf("fig3 output differs corpus-on -j 8 vs corpus-off -j 1:\n corpus:\n%s\n reference:\n%s", shared, ref)
 	}
@@ -79,8 +76,8 @@ func TestSelfcheckCorpusParallelIdentical(t *testing.T) {
 		t.Skip("timing simulation")
 	}
 	args := func(j string) []string { return []string{"-benches", "compress,li,su2cor", "-j", j} }
-	ref := capture(t, func() error { return runSelfcheck(args("1")) })
-	shared := withCorpus(t, corpus.Options{}, func() error { return runSelfcheck(args("8")) })
+	ref := capture(t, func() error { return runSelfcheck(&env{}, args("1")) })
+	shared := capture(t, func() error { return runSelfcheck(withCorpus(corpus.Options{}), args("8")) })
 	if shared != ref {
 		t.Errorf("selfcheck output differs corpus-on -j 8 vs corpus-off -j 1:\n corpus:\n%s\n reference:\n%s", shared, ref)
 	}
@@ -90,8 +87,8 @@ func TestSelfcheckCorpusParallelIdentical(t *testing.T) {
 // which exercises Tables 3 and 7-10 through internal/report — to be
 // byte-identical with and without a shared corpus.
 func TestExportCorpusOnOffIdentical(t *testing.T) {
-	off := capture(t, func() error { return runExport([]string{"-notiming"}) })
-	on := withCorpus(t, corpus.Options{}, func() error { return runExport([]string{"-notiming"}) })
+	off := capture(t, func() error { return runExport(&env{}, []string{"-notiming"}) })
+	on := capture(t, func() error { return runExport(withCorpus(corpus.Options{}), []string{"-notiming"}) })
 	if on != off {
 		t.Errorf("export JSON differs corpus-on vs corpus-off:\n on:\n%s\n off:\n%s", on, off)
 	}

@@ -46,8 +46,8 @@ func TestExperimentADeterministicReplay(t *testing.T) {
 // TestTable7DeterministicReplay captures the full Table 7 traffic-ratio
 // emission twice and requires byte-identical output.
 func TestTable7DeterministicReplay(t *testing.T) {
-	first := capture(t, func() error { return runTable7(nil) })
-	second := capture(t, func() error { return runTable7(nil) })
+	first := capture(t, func() error { return runTable7(&env{}, nil) })
+	second := capture(t, func() error { return runTable7(&env{}, nil) })
 	if first != second {
 		t.Errorf("table7 output differs between replays:\n run 1:\n%s\n run 2:\n%s", first, second)
 	}
@@ -61,8 +61,8 @@ func TestFig3ParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	serial := capture(t, func() error { return runFig3([]string{"-suite", "92", "-j", "1"}) })
-	parallel := capture(t, func() error { return runFig3([]string{"-suite", "92", "-j", "8"}) })
+	serial := capture(t, func() error { return runFig3(&env{}, []string{"-suite", "92", "-j", "1"}) })
+	parallel := capture(t, func() error { return runFig3(&env{}, []string{"-suite", "92", "-j", "8"}) })
 	if serial != parallel {
 		t.Errorf("fig3 output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", serial, parallel)
 	}
@@ -78,33 +78,38 @@ func TestSelfcheckParallelDeterminism(t *testing.T) {
 		t.Skip("timing simulation")
 	}
 	args := func(j string) []string { return []string{"-benches", "compress,li,su2cor", "-j", j} }
-	serial := capture(t, func() error { return runSelfcheck(args("1")) })
-	parallel := capture(t, func() error { return runSelfcheck(args("8")) })
+	serial := capture(t, func() error { return runSelfcheck(&env{}, args("1")) })
+	parallel := capture(t, func() error { return runSelfcheck(&env{}, args("8")) })
 	if serial != parallel {
 		t.Errorf("selfcheck output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", serial, parallel)
 	}
 }
 
-// TestFig3TwinParallelDeterminism requires the twin-served Figure 3
-// emission to be byte-identical between worker counts: predictions come
-// from a read-only cell table and the sampled ground-truth subset is
-// selected by task index, so -j changes wall time only. The calibration
-// output is captured (and discarded) once; both fig3 runs then load the
-// same persisted model.
+// TestFig3TwinParallelDeterminism requires the twin-served Figure 3 and
+// Table 6 emissions to be byte-identical between worker counts:
+// predictions come from a read-only cell table and the sampled
+// ground-truth subset is selected by task index, so -j changes wall time
+// only. The calibration output is captured (and discarded) once; every
+// run then loads the same persisted model.
 func TestFig3TwinParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
 	model := filepath.Join(t.TempDir(), "model.json")
 	capture(t, func() error {
-		return runTwinCalibrate([]string{"-suite", "92", "-o", model, "-j", "8"})
+		return runTwinCalibrate(&env{}, []string{"-suite", "92", "-o", model, "-j", "8"})
 	})
 	args := func(j string) []string {
 		return []string{"-suite", "92", "-twin", "-twin-model", model, "-j", j}
 	}
-	serial := capture(t, func() error { return runFig3(args("1")) })
-	parallel := capture(t, func() error { return runFig3(args("8")) })
-	if serial != parallel {
-		t.Errorf("fig3 -twin output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", serial, parallel)
+	for _, c := range []struct {
+		name string
+		run  func(*env, []string) error
+	}{{"fig3", runFig3}, {"table6", runTable6}} {
+		serial := capture(t, func() error { return c.run(&env{}, args("1")) })
+		parallel := capture(t, func() error { return c.run(&env{}, args("8")) })
+		if serial != parallel {
+			t.Errorf("%s -twin output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", c.name, serial, parallel)
+		}
 	}
 }

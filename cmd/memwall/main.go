@@ -113,12 +113,12 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 type command struct {
 	name  string
 	brief string
-	run   func(args []string) error
+	run   func(env *env, args []string) error
 }
 
 var commands []command
 
-func register(name, brief string, run func(args []string) error) {
+func register(name, brief string, run func(env *env, args []string) error) {
 	commands = append(commands, command{name, brief, run})
 }
 
@@ -200,9 +200,9 @@ func runAll(args []string) error {
 	if len(rest) > 0 {
 		return usageErr(fmt.Errorf("unexpected arguments %v", rest))
 	}
-	return runObserved("all", nil, opts, func() error {
+	return runObserved("all", nil, opts, func(env *env) error {
 		for _, n := range allOrder() {
-			if err := dispatch(n, nil); err != nil {
+			if err := dispatch(env, n, nil); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
 		}
@@ -210,10 +210,10 @@ func runAll(args []string) error {
 	})
 }
 
-func dispatch(name string, args []string) error {
+func dispatch(env *env, name string, args []string) error {
 	for _, c := range commands {
 		if c.name == name {
-			return c.run(args)
+			return c.run(env, args)
 		}
 	}
 	usage()

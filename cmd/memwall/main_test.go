@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"memwall/internal/twin"
+	"memwall/internal/workload"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -33,7 +37,7 @@ func capture(t *testing.T, fn func() error) string {
 }
 
 func TestDispatchUnknown(t *testing.T) {
-	if err := dispatch("definitely-not-a-command", nil); err == nil {
+	if err := dispatch(&env{}, "definitely-not-a-command", nil); err == nil {
 		t.Error("unknown command accepted")
 	}
 }
@@ -58,7 +62,7 @@ func TestAllCommandsRegistered(t *testing.T) {
 }
 
 func TestFig1Output(t *testing.T) {
-	out := capture(t, func() error { return runFig1([]string{"-plot=false"}) })
+	out := capture(t, func() error { return runFig1(&env{}, []string{"-plot=false"}) })
 	for _, want := range []string{"8086", "PA8000", "pins", "16%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig1 output missing %q", want)
@@ -67,7 +71,7 @@ func TestFig1Output(t *testing.T) {
 }
 
 func TestTable2Output(t *testing.T) {
-	out := capture(t, func() error { return runTable2(nil) })
+	out := capture(t, func() error { return runTable2(&env{}, nil) })
 	for _, want := range []string{"TMM", "Stencil", "FFT", "Sort", "sqrt(k)", "log2(k)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table2 output missing %q", want)
@@ -76,14 +80,14 @@ func TestTable2Output(t *testing.T) {
 }
 
 func TestFig2Output(t *testing.T) {
-	out := capture(t, func() error { return runFig2(nil) })
+	out := capture(t, func() error { return runFig2(&env{}, nil) })
 	if !strings.Contains(out, "1984") || !strings.Contains(out, "gap(1)") {
 		t.Error("fig2 output incomplete")
 	}
 }
 
 func TestTable3Output(t *testing.T) {
-	out := capture(t, func() error { return runTable3(nil) })
+	out := capture(t, func() error { return runTable3(&env{}, nil) })
 	for _, want := range []string{"compress", "vortex", "SPEC92", "SPEC95"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table3 output missing %q", want)
@@ -92,28 +96,28 @@ func TestTable3Output(t *testing.T) {
 }
 
 func TestExtrapolateOutput(t *testing.T) {
-	out := capture(t, func() error { return runExtrapolate(nil) })
+	out := capture(t, func() error { return runExtrapolate(&env{}, nil) })
 	if !strings.Contains(out, "factor of 25") {
 		t.Error("extrapolate output missing the paper's headline")
 	}
 }
 
 func TestTable7Output(t *testing.T) {
-	out := capture(t, func() error { return runTable7(nil) })
+	out := capture(t, func() error { return runTable7(&env{}, nil) })
 	if !strings.Contains(out, "compress") || !strings.Contains(out, "<<<") {
 		t.Error("table7 output incomplete")
 	}
 }
 
 func TestTable8Output(t *testing.T) {
-	out := capture(t, func() error { return runTable8(nil) })
+	out := capture(t, func() error { return runTable8(&env{}, nil) })
 	if !strings.Contains(out, "inefficienc") {
 		t.Error("table8 output incomplete")
 	}
 }
 
 func TestTable9Output(t *testing.T) {
-	out := capture(t, func() error { return runTable9(nil) })
+	out := capture(t, func() error { return runTable9(&env{}, nil) })
 	for _, want := range []string{"Associativity", "Replacement", "Write validate", "MIN, fa, 4B, WV"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table9 output missing %q", want)
@@ -122,14 +126,14 @@ func TestTable9Output(t *testing.T) {
 }
 
 func TestEpinOutput(t *testing.T) {
-	out := capture(t, func() error { return runEpin(nil) })
+	out := capture(t, func() error { return runEpin(&env{}, nil) })
 	if !strings.Contains(out, "E_pin") || !strings.Contains(out, "OE_pin") {
 		t.Error("epin output incomplete")
 	}
 }
 
 func TestFig4Output(t *testing.T) {
-	out := capture(t, func() error { return runFig4([]string{"-bench", "espresso", "-plot=false"}) })
+	out := capture(t, func() error { return runFig4(&env{}, []string{"-bench", "espresso", "-plot=false"}) })
 	if !strings.Contains(out, "MTC write-validate") || !strings.Contains(out, "4-way 32B blocks") {
 		t.Error("fig4 output incomplete")
 	}
@@ -139,7 +143,7 @@ func TestFig3Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	out := capture(t, func() error { return runFig3([]string{"-suite", "92"}) })
+	out := capture(t, func() error { return runFig3(&env{}, []string{"-suite", "92"}) })
 	for _, want := range []string{"f_P", "f_L", "f_B", "espresso", "su2cor"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig3 output missing %q", want)
@@ -151,9 +155,13 @@ func TestTable6Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	out := capture(t, func() error { return runTable6([]string{"-suite", "92"}) })
-	if !strings.Contains(out, "f_B>f_L") {
-		t.Error("table6 output incomplete")
+	out := capture(t, func() error { return runTable6(&env{}, []string{"-suite", "92"}) })
+	want, err := os.ReadFile(filepath.Join("testdata", "table6_92.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("table6 -suite 92 differs from testdata/table6_92.golden\n got:\n%s\nwant:\n%s", out, want)
 	}
 }
 
@@ -161,7 +169,7 @@ func TestTable1Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	out := capture(t, func() error { return runTable1([]string{"-bench", "espresso"}) })
+	out := capture(t, func() error { return runTable1(&env{}, []string{"-bench", "espresso"}) })
 	for _, want := range []string{"blocking cache", "tagged prefetching", "out-of-order core"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table1 output missing %q", want)
@@ -181,7 +189,7 @@ func TestParseSuite(t *testing.T) {
 }
 
 func TestTimingBenchmarksOmitDnasa2(t *testing.T) {
-	for _, n := range timingBenchmarks(0) { // SPEC92
+	for _, n := range twin.TimingBenchmarks(workload.SPEC92) {
 		if n == "dnasa2" {
 			t.Error("dnasa2 must not appear in the Figure 3 SPEC92 panel")
 		}
@@ -189,7 +197,7 @@ func TestTimingBenchmarksOmitDnasa2(t *testing.T) {
 }
 
 func TestAblateOutput(t *testing.T) {
-	out := capture(t, func() error { return runAblate([]string{"-bench", "espresso", "-kb", "16"}) })
+	out := capture(t, func() error { return runAblate(&env{}, []string{"-bench", "espresso", "-kb", "16"}) })
 	for _, want := range []string{"4B sector", "write-validate", "MTC+clean-pref"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablate output missing %q", want)
@@ -201,7 +209,7 @@ func TestCMPOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	out := capture(t, func() error { return runCMP([]string{"-bench", "espresso", "-cores", "2"}) })
+	out := capture(t, func() error { return runCMP(&env{}, []string{"-bench", "espresso", "-cores", "2"}) })
 	for _, want := range []string{"cores", "per-core slowdown", "aggregate IPC"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cmp output missing %q", want)
@@ -210,7 +218,7 @@ func TestCMPOutput(t *testing.T) {
 }
 
 func TestExportHeadlineOutput(t *testing.T) {
-	out := capture(t, func() error { return runExport([]string{"-headline", "-notiming"}) })
+	out := capture(t, func() error { return runExport(&env{}, []string{"-headline", "-notiming"}) })
 	for _, want := range []string{"pinGrowthPct", "bwPerPin2006", "maxInefficiency"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("export headline missing %q", want)
@@ -222,7 +230,7 @@ func TestFutureOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	out := capture(t, func() error { return runFuture([]string{"-bench", "espresso", "-generations", "1"}) })
+	out := capture(t, func() error { return runFuture(&env{}, []string{"-bench", "espresso", "-generations", "1"}) })
 	for _, want := range []string{"Faster processors", "Adding on-chip memory", "clock x"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("future output missing %q", want)
@@ -234,7 +242,7 @@ func TestBusesOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	out := capture(t, func() error { return runBuses([]string{"-bench", "espresso"}) })
+	out := capture(t, func() error { return runBuses(&env{}, []string{"-bench", "espresso"}) })
 	if !strings.Contains(out, "f_B(mem bus)") || !strings.Contains(out, "interaction") {
 		t.Error("buses output incomplete")
 	}
@@ -245,7 +253,7 @@ func TestScratchpadOutput(t *testing.T) {
 		t.Skip("timing simulation")
 	}
 	out := capture(t, func() error {
-		return runScratchpad([]string{"-bench", "espresso", "-kb", "64"})
+		return runScratchpad(&env{}, []string{"-bench", "espresso", "-kb", "64"})
 	})
 	for _, want := range []string{"region on chip", "(none)", "best single placement"} {
 		if !strings.Contains(out, want) {

@@ -148,79 +148,50 @@ func splitGlobalFlags(args []string) (globalOpts, []string, error) {
 	return opts, rest, nil
 }
 
-// currentObs is the run-wide observation bundle, set up by runCommand and
-// read by subcommands via observation(). Zero-valued when no telemetry
-// flag was given, which disables all instrumentation.
-var currentObs telemetry.Observation
-
-// observation returns the telemetry hooks for the current invocation.
-func observation() telemetry.Observation { return currentObs }
-
-// currentCorpus is the run-wide trace corpus, set up by runObserved. Nil
-// when -corpus=false: the nil corpus materializes a private entry per Get
-// through the identical code path, so output never depends on the flag.
-var currentCorpus *corpus.Corpus
-
-// activeCorpus returns the invocation's trace corpus (possibly nil).
-func activeCorpus() *corpus.Corpus { return currentCorpus }
-
-// corpusEntry returns the shared (or, corpus disabled, private) trace
-// entry for a benchmark at a scale.
-func corpusEntry(name string, scale int) *corpus.Entry {
-	return activeCorpus().Get(name, scale)
+// env is one invocation's run state, built by runObserved from the
+// global flags and handed to every command. The zero value runs with
+// instrumentation, persistence and fault injection all off.
+type env struct {
+	// obs holds the telemetry hooks; zero when no telemetry flag was
+	// given, which disables all instrumentation.
+	obs telemetry.Observation
+	// corpus is the run-wide trace corpus. Nil when -corpus=false: the
+	// nil corpus materializes a private entry per Get through the
+	// identical code path, so output never depends on the flag.
+	corpus *corpus.Corpus
+	// checkpoint is the cell ledger opened for -checkpoint-dir. Nil
+	// otherwise: the nil ledger never hits and never records.
+	checkpoint *checkpoint.Ledger
+	// fault is the injector armed by -fault-schedule; nil injects nothing.
+	fault *faultinject.Injector
+	// fs is the (injector-wrapped) filesystem and checkpointDir the
+	// -checkpoint-dir value; serve threads both into its own
+	// per-fingerprint ledgers.
+	fs            faultinject.FS
+	checkpointDir string
 }
 
-// corpusProgram is the generation path all subcommands share: the entry's
+// program is the generation path all commands share: the corpus entry's
 // program, generated at most once per (benchmark, scale) for the run.
-func corpusProgram(name string, scale int) (*workload.Program, error) {
-	return corpusEntry(name, scale).Program()
+func (env *env) program(name string, scale int) (*workload.Program, error) {
+	return env.corpus.Get(name, scale).Program()
 }
-
-// currentCheckpoint is the run's cell ledger, opened by runObserved when
-// -checkpoint-dir is given. Nil otherwise: the nil ledger never hits and
-// never records, so grids thread it unconditionally.
-var currentCheckpoint *checkpoint.Ledger
-
-// activeCheckpoint returns the invocation's cell ledger (possibly nil).
-func activeCheckpoint() *checkpoint.Ledger { return currentCheckpoint }
-
-// currentFault is the run's fault injector, armed by -fault-schedule. Nil
-// (the common case) injects nothing.
-var currentFault *faultinject.Injector
-
-// activeFault returns the invocation's fault injector (possibly nil).
-func activeFault() *faultinject.Injector { return currentFault }
-
-// currentFS is the run's (injector-wrapped) filesystem, and
-// currentCheckpointDir the -checkpoint-dir value; the serve subcommand
-// threads both into its own per-fingerprint ledgers.
-var (
-	currentFS            faultinject.FS
-	currentCheckpointDir string
-)
-
-// activeFS returns the invocation's filesystem seam (possibly nil; nil
-// means the plain OS).
-func activeFS() faultinject.FS { return currentFS }
-
-// activeCheckpointDir returns the -checkpoint-dir value ("" when unset).
-func activeCheckpointDir() string { return currentCheckpointDir }
 
 // gridPool assembles the runner.Config for a -j grid sweep: the run-wide
 // telemetry hooks plus — when -checkpoint-dir / -fault-schedule are active
 // — the cell ledger and fault injector. taskName keeps each subcommand's
 // historical span naming and doubles as the checkpoint cell key, so every
 // grid that names its tasks is crash-safe for free.
-func gridPool(workers int, taskName func(i int) string) runner.Config {
-	cfg := runner.Config{Workers: workers, Obs: observation(), TaskName: taskName}
+func (env *env) gridPool(workers int, taskName func(i int) string) runner.Config {
+	cfg := runner.Config{Workers: workers, Obs: env.obs, TaskName: taskName}
 	// Assign only non-nil values: a typed-nil in the interface field would
 	// make the runner JSON-encode every result for a ledger that discards
 	// them.
-	if l := activeCheckpoint(); l != nil {
-		cfg.Checkpoint = l
+	if env.checkpoint != nil {
+		cfg.Checkpoint = env.checkpoint
 	}
-	if in := activeFault(); in != nil {
-		cfg.Fault = in
+	if env.fault != nil {
+		cfg.Fault = env.fault
 	}
 	return cfg
 }
@@ -230,8 +201,8 @@ func gridPool(workers int, taskName func(i int) string) runner.Config {
 // heartbeat stay shared (both are concurrency-safe), while spans land on
 // the executing worker's TID so Perfetto renders concurrent cells on
 // separate tracks.
-func taskObservation(tracer *telemetry.Tracer) telemetry.Observation {
-	o := currentObs
+func (env *env) taskObservation(tracer *telemetry.Tracer) telemetry.Observation {
+	o := env.obs
 	o.Tracer = tracer
 	return o
 }
@@ -294,17 +265,18 @@ func runCommand(name string, args []string) error {
 	if err != nil {
 		return usageErr(err)
 	}
-	return runObserved(name, rest, opts, func() error {
-		return dispatch(name, rest)
+	return runObserved(name, rest, opts, func(env *env) error {
+		return dispatch(env, name, rest)
 	})
 }
 
-// runObserved executes fn inside the telemetry envelope described by opts.
+// runObserved builds the run's env from opts and executes fn inside the
+// telemetry envelope it describes.
 // Teardown runs in a defer, so the sinks flush — and corruption detections
 // surface — on the error path too: a failed run's counters (fault
 // injections, corrupt ledgers, completed cells) are exactly what a
 // post-mortem needs.
-func runObserved(name string, rest []string, opts globalOpts, fn func() error) (runErr error) {
+func runObserved(name string, rest []string, opts globalOpts, fn func(*env) error) (runErr error) {
 	inject, err := faultinject.Parse(opts.faultSchedule)
 	if err != nil {
 		return usageErr(err)
@@ -375,21 +347,7 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 		corp = corpus.New(corpus.Options{Dir: opts.corpusDir, Metrics: obs.Metrics, FS: fsys})
 	}
 
-	currentObs = obs
-	currentCorpus = corp
-	currentCheckpoint = ledger
-	currentFault = inject
-	currentFS = fsys
-	currentCheckpointDir = opts.checkpointDir
-
 	defer func() {
-		currentObs = telemetry.Observation{}
-		currentCorpus = nil
-		currentCheckpoint = nil
-		currentFault = nil
-		currentFS = nil
-		currentCheckpointDir = ""
-
 		// Close the ledger before flushing reports: a resumable ledger's
 		// lifecycle ends exactly here, and a Close'd ledger makes any
 		// late Record (a leaked goroutine, a bug) a no-op instead of a
@@ -423,5 +381,12 @@ func runObserved(name string, rest []string, opts globalOpts, fn func() error) (
 			runErr = corruptionNotice{n: n}
 		}
 	}()
-	return fn()
+	return fn(&env{
+		obs:           obs,
+		corpus:        corp,
+		checkpoint:    ledger,
+		fault:         inject,
+		fs:            fsys,
+		checkpointDir: opts.checkpointDir,
+	})
 }

@@ -100,7 +100,7 @@ func TestProfileOutput(t *testing.T) {
 		t.Skip("timing simulation")
 	}
 	out := capture(t, func() error {
-		return runProfile([]string{"-bench", "compress", "-suite", "92"})
+		return runProfile(&env{}, []string{"-bench", "compress", "-suite", "92"})
 	})
 	for _, want := range []string{"sim-cycles/s", "sim-MIPS", "mem-refs/s"} {
 		if !strings.Contains(out, want) {

@@ -37,7 +37,7 @@ func runObservedCapture(t *testing.T, opts globalOpts, name string, args ...stri
 		r.Close() // keep the capture fd-neutral (the fd-leak tests count)
 		done <- buf.String()
 	}()
-	runErr := runObserved(name, args, opts, func() error { return dispatch(name, args) })
+	runErr := runObserved(name, args, opts, func(env *env) error { return dispatch(env, name, args) })
 	w.Close()
 	os.Stdout = old
 	return <-done, runErr

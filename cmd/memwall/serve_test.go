@@ -6,12 +6,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
+	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"memwall/internal/telemetry"
 )
@@ -156,5 +163,59 @@ func TestServeSmokeWithFaultSchedule(t *testing.T) {
 	// The delayed journal write still landed: the ledger exists.
 	if ledgers, _ := filepath.Glob(filepath.Join(dir, "run-*.json")); len(ledgers) == 0 {
 		t.Errorf("no ledger written under slowwrite fault")
+	}
+}
+
+// TestServeSigtermAtStartupDrains: a SIGTERM sent the moment /healthz
+// first answers must drain the server (exit 0, "draining" on stderr),
+// not kill it, so the signal handler has to be in place before the
+// listener serves. The start-up window is narrow, hence the repeats.
+func TestServeSigtermAtStartupDrains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and starts the memwall binary")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go tool to build the binary: %v", err)
+	}
+	bin := filepath.Join(t.TempDir(), "memwall")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	client := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
+	for run := 0; run < 100; run++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		cmd := exec.Command(bin, "serve", "-addr", addr)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			resp, err := client.Get("http://" + addr + "/healthz")
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				_ = cmd.Process.Kill()
+				_ = cmd.Wait()
+				t.Fatalf("run %d: /healthz never answered: %v\n%s", run, err, stderr.String())
+			}
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		err = cmd.Wait()
+		if err != nil || !strings.Contains(stderr.String(), "draining") {
+			t.Fatalf("run %d: SIGTERM right after start-up: exit %v, want 0 with a drain\n%s", run, err, stderr.String())
+		}
 	}
 }

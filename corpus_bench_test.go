@@ -3,8 +3,7 @@
 // traces and every MTC configuration rebuilds its future-knowledge table
 // from scratch — while the matching *Corpus benchmark runs the same grid
 // through a shared corpus (one materialization per trace, one future
-// table per block size). cmd/benchjson pairs them into the before/after
-// rows of BENCH_PR4.json (see `make bench-json`).
+// table per block size).
 package memwall
 
 import (
@@ -14,6 +13,7 @@ import (
 	"memwall/internal/core"
 	"memwall/internal/corpus"
 	"memwall/internal/mtc"
+	"memwall/internal/runner"
 	"memwall/internal/trace"
 	"memwall/internal/workload"
 )
@@ -152,7 +152,7 @@ func benchFig3Grid(b *testing.B, newProg func() func(name string) (*workload.Pro
 				}
 				progs = append(progs, p)
 			}
-			if _, err := core.Figure3(workload.SPEC92, progs, 16); err != nil {
+			if _, err := core.Figure3Pool(workload.SPEC92, progs, 16, runner.Config{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}

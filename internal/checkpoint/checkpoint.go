@@ -46,8 +46,8 @@ import (
 // ledger at once (format mismatch degrades to a fresh ledger).
 const Format = 1
 
-// ledgerFile is the on-disk schema. Cells map cell keys (the runner's
-// task names, e.g. "table6:su2cor") to their JSON-encoded results; Sum is
+// ledgerFile is the on-disk schema. Cells map the runner's cell keys
+// (e.g. "table6:SPEC92:su2cor/F") to their JSON-encoded results; Sum is
 // the hex SHA-256 of the canonical cells encoding.
 type ledgerFile struct {
 	Format      int                        `json:"format"`

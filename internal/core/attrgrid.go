@@ -3,12 +3,8 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"memwall/internal/attr"
 	"memwall/internal/runner"
-	"memwall/internal/telemetry"
 	"memwall/internal/workload"
 )
 
@@ -22,40 +18,12 @@ type ExplainCell struct {
 
 // ExplainPool runs the (benchmark × experiment) grid like Figure3Pool
 // but with attribution enabled: each cell's full-system run carries its
-// own attr.Collector (collectors are single-run state, so one is built
-// inside each task), and the cell's DecomposeResult.Attr holds the
+// own attr.Collector, and the cell's DecomposeResult.Attr holds the
 // resulting record. Cell keys are "explain:"-prefixed so an explain
 // sweep never collides with a fig3 sweep in a shared checkpoint ledger.
 func ExplainPool(suite workload.Suite, progs []*workload.Program, cacheScale int, opts attr.Options, pool runner.Config) ([]ExplainCell, error) {
 	machines := MachinesScaled(suite, cacheScale)
-	nm := len(machines)
-	type cell struct {
-		p *workload.Program
-		m Machine
-	}
-	tasks := make([]cell, 0, len(progs)*nm)
-	for _, p := range progs {
-		for _, m := range machines {
-			tasks = append(tasks, cell{p, m})
-		}
-	}
-	obs := pool.Obs
-	pool.TaskName = func(i int) string { return "explain:" + tasks[i].p.Name + "/" + tasks[i].m.Name }
-	pool.CellKey = func(i int) string {
-		return "explain:" + suite.String() + ":" + tasks[i].p.Name + "/" + tasks[i].m.Name
-	}
-	results, err := runner.Map(context.Background(), pool, len(tasks),
-		func(ctx context.Context, i int, tracer *telemetry.Tracer) (DecomposeResult, error) {
-			t := tasks[i]
-			m := t.m
-			m.Obs = telemetry.Observation{Metrics: obs.Metrics, Tracer: tracer, Progress: obs.Progress}
-			m.Attr = attr.New(opts)
-			res, err := Decompose(m, t.p.Stream())
-			if err != nil {
-				return DecomposeResult{}, fmt.Errorf("%s/%s: %w", t.p.Name, m.Name, err)
-			}
-			return res, nil
-		})
+	results, err := Grid{Suite: suite, Progs: progs, Machines: machines, Span: "explain", Key: "explain", Attr: &opts}.Run(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +33,7 @@ func ExplainPool(suite workload.Suite, progs []*workload.Program, cacheScale int
 			out = append(out, ExplainCell{
 				Benchmark:  p.Name,
 				Experiment: m.Name,
-				Result:     results[bi*nm+mi],
+				Result:     results[bi*len(machines)+mi],
 			})
 		}
 	}

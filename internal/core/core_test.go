@@ -6,6 +6,7 @@ import (
 
 	"memwall/internal/cache"
 	"memwall/internal/mtc"
+	"memwall/internal/runner"
 	"memwall/internal/trace"
 	"memwall/internal/workload"
 )
@@ -321,7 +322,7 @@ func TestFigure3Integration(t *testing.T) {
 		}
 		progs = append(progs, p)
 	}
-	cells, err := Figure3(workload.SPEC92, progs, 16)
+	cells, err := Figure3Pool(workload.SPEC92, progs, 16, runner.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"memwall/internal/cpu"
 	"memwall/internal/mem"
 	"memwall/internal/runner"
-	"memwall/internal/telemetry"
 	"memwall/internal/units"
 	"memwall/internal/workload"
 )
@@ -149,33 +146,6 @@ func MachineByName(suite workload.Suite, name string, cacheScale int) (Machine, 
 	return Machine{}, fmt.Errorf("core: unknown experiment %q (want A-F)", name)
 }
 
-// perfectKey identifies a (program, core) pair for perfect-run sharing:
-// every cpu.Config field that influences a simulation, and none of the
-// instrumentation hooks (which are nil whenever sharing is enabled).
-type perfectKey struct {
-	prog              string
-	issueWidth        int
-	lsUnits           int
-	outOfOrder        bool
-	ruuSlots          int
-	lsqEntries        int
-	predictorEntries  int
-	mispredictPenalty int64
-}
-
-func tpKey(prog string, c cpu.Config) perfectKey {
-	return perfectKey{
-		prog:              prog,
-		issueWidth:        c.IssueWidth,
-		lsUnits:           c.LSUnits,
-		outOfOrder:        c.OutOfOrder,
-		ruuSlots:          c.RUUSlots,
-		lsqEntries:        c.LSQEntries,
-		predictorEntries:  c.PredictorEntries,
-		mispredictPenalty: c.MispredictPenalty,
-	}
-}
-
 // Figure3CellKey names one cell of the Figure 3 grid. It is the stable
 // identity shared by the checkpoint ledger and the analytical-twin
 // surrogate (internal/twin): both address cells by this key, so a twin
@@ -183,7 +153,7 @@ func tpKey(prog string, c cpu.Config) perfectKey {
 // for. Keys are suite-qualified so the SPEC92 and SPEC95 grids of one
 // invocation never collide.
 func Figure3CellKey(suite workload.Suite, benchmark, experiment string) string {
-	return "fig3:" + suite.String() + ":" + benchmark + "/" + experiment
+	return gridCellKey("fig3", suite, benchmark, experiment)
 }
 
 // BenchmarkDecomposition is one cell of Figure 3: a benchmark run on one
@@ -197,116 +167,18 @@ type BenchmarkDecomposition struct {
 	NormTime float64
 }
 
-// Figure3 runs all six experiments over the given programs and normalises
-// each benchmark's execution times to experiment A's T_P, reproducing the
-// bars of the paper's Figure 3. cacheScale shrinks the hierarchy to match
-// size-reduced workloads (see MachinesScaled); pass 1 for the paper-exact
-// Table 4 sizes.
-func Figure3(suite workload.Suite, progs []*workload.Program, cacheScale int) ([]BenchmarkDecomposition, error) {
-	return Figure3Parallel(suite, progs, cacheScale, telemetry.Observation{}, 1)
-}
-
-// Figure3Observed is Figure3 with telemetry attached: each (benchmark,
-// experiment) cell is traced as a span ("bench:<name>/<exp>") enclosing
-// its three simulation spans, and the full-system runs publish their
-// counters into obs.Metrics (see Decompose). Cells run serially; use
-// Figure3Parallel to shard the grid over workers.
-func Figure3Observed(suite workload.Suite, progs []*workload.Program, cacheScale int, obs telemetry.Observation) ([]BenchmarkDecomposition, error) {
-	return Figure3Parallel(suite, progs, cacheScale, obs, 1)
-}
-
-// Figure3Parallel is Figure3Observed with the (benchmark × experiment)
-// grid sharded over a worker pool (see internal/runner): workers <= 0
-// selects GOMAXPROCS, 1 reproduces the serial sweep bit-for-bit. Every
-// cell gets its own instruction stream (the Decompose ownership rule), so
-// concurrent cells never share mutable simulator state, and results are
-// collected in grid order — the returned slice is byte-identical however
-// the tasks were scheduled.
+// Figure3Pool runs all six experiments over the given programs on pool
+// and normalises each benchmark's execution times to experiment A's T_P,
+// reproducing the bars of the paper's Figure 3. cacheScale shrinks the
+// hierarchy to match size-reduced workloads (see MachinesScaled); pass 1
+// for the paper-exact Table 4 sizes. Spans keep the historical
+// "bench:<name>/<exp>" form; cell keys are Figure3CellKey.
 //
-// Unlike the historical sweep, a benchmark whose experiment A processing
-// time is unavailable or zero is an explicit error rather than a silent
-// NormTime of 0 (which rendered as garbage bars in plots and tables).
-func Figure3Parallel(suite workload.Suite, progs []*workload.Program, cacheScale int, obs telemetry.Observation, workers int) ([]BenchmarkDecomposition, error) {
-	return Figure3Pool(suite, progs, cacheScale, runner.Config{Workers: workers, Obs: obs})
-}
-
-// Figure3Pool is Figure3Parallel with the caller supplying the full pool
-// configuration — in particular the checkpoint ledger and fault injector
-// of a crash-safe CLI run (see cmd/memwall's -checkpoint-dir and
-// -fault-schedule). The task naming is fixed here: spans keep the
-// historical "bench:<name>/<exp>" form, while checkpoint cell keys are
-// additionally qualified by the suite, so the SPEC92 and SPEC95 grids of
-// one invocation can never collide in the ledger.
+// A benchmark whose experiment A processing time is unavailable or zero
+// is an explicit error rather than a silent NormTime of 0.
 func Figure3Pool(suite workload.Suite, progs []*workload.Program, cacheScale int, pool runner.Config) ([]BenchmarkDecomposition, error) {
 	machines := MachinesScaled(suite, cacheScale)
-	nm := len(machines)
-	type cell struct {
-		p *workload.Program
-		m Machine
-	}
-	tasks := make([]cell, 0, len(progs)*nm)
-	for _, p := range progs {
-		for _, m := range machines {
-			tasks = append(tasks, cell{p, m})
-		}
-	}
-	obs := pool.Obs
-	pool.TaskName = func(i int) string { return "bench:" + tasks[i].p.Name + "/" + tasks[i].m.Name }
-	pool.CellKey = func(i int) string {
-		return Figure3CellKey(suite, tasks[i].p.Name, tasks[i].m.Name)
-	}
-	// T_P depends only on the core configuration (see PerfectTime), and
-	// Table 5 reuses cores across machines — A/B/C share one, D/E another —
-	// so each (program, core) pair needs a single perfect run, not one per
-	// machine. The cache is keyed up front and filled lazily under a
-	// sync.Once, so concurrent cells agree on the value and checkpointed
-	// cells that never execute never pay for it. Telemetry observers see
-	// one "sim:perfect" span per run performed, so sharing is disabled when
-	// any hook is attached to keep traces and heartbeats per-cell exact.
-	share := !obs.Enabled()
-	type tpEntry struct {
-		once sync.Once
-		tp   units.Cycles
-		err  error
-	}
-	tpCache := make(map[perfectKey]*tpEntry)
-	if share {
-		for i := range tasks {
-			k := tpKey(tasks[i].p.Name, tasks[i].m.CPU)
-			if tpCache[k] == nil {
-				tpCache[k] = &tpEntry{}
-			}
-		}
-	}
-	results, err := runner.Map(context.Background(), pool, len(tasks),
-		func(ctx context.Context, i int, tracer *telemetry.Tracer) (DecomposeResult, error) {
-			t := tasks[i]
-			m := t.m
-			// Metrics and Progress are shared, concurrency-safe hooks; the
-			// tracer is re-based onto this worker's track.
-			m.Obs = telemetry.Observation{Metrics: obs.Metrics, Tracer: tracer, Progress: obs.Progress}
-			// Each cell owns a fresh stream: see the Decompose ownership
-			// rule — sharing one stream across cells is a data race once
-			// cells run concurrently. The shared perfect run gets its own
-			// stream too, for the same reason.
-			var res DecomposeResult
-			var err error
-			if share {
-				e := tpCache[tpKey(t.p.Name, m.CPU)]
-				e.once.Do(func() { e.tp, e.err = PerfectTime(m, t.p.Stream()) })
-				if e.err != nil {
-					err = e.err
-				} else {
-					res, err = DecomposeWithTP(m, t.p.Stream(), e.tp)
-				}
-			} else {
-				res, err = Decompose(m, t.p.Stream())
-			}
-			if err != nil {
-				return DecomposeResult{}, fmt.Errorf("%s/%s: %w", t.p.Name, m.Name, err)
-			}
-			return res, nil
-		})
+	results, err := Grid{Suite: suite, Progs: progs, Machines: machines, Span: "bench", Key: "fig3"}.Run(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +186,7 @@ func Figure3Pool(suite workload.Suite, progs []*workload.Program, cacheScale int
 }
 
 // normalizeFigure3 turns the raw grid results (benchmark-major, machine-
-// minor, matching the task order of Figure3Parallel) into Figure 3 cells
+// minor, matching the task order of Grid.Run) into Figure 3 cells
 // normalised to experiment A's processing time T_P. A benchmark with no
 // experiment A result, or one whose T_P is zero, is an explicit error:
 // the historical behaviour of silently emitting NormTime 0 rendered as

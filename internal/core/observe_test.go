@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 	"memwall/internal/workload"
 )
@@ -73,8 +74,8 @@ func TestDecomposeObserved(t *testing.T) {
 	}
 }
 
-// Figure3Observed wraps each benchmark in a span and aggregates counters
-// across experiments.
+// Figure3Pool with telemetry attached wraps each benchmark in a span and
+// aggregates counters across experiments.
 func TestFigure3Observed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
@@ -87,7 +88,7 @@ func TestFigure3Observed(t *testing.T) {
 	sink := telemetry.NewEventSink(&buf)
 	reg := telemetry.NewRegistry()
 	obs := telemetry.Observation{Metrics: reg, Tracer: telemetry.NewTracer(sink)}
-	cells, err := Figure3Observed(workload.SPEC92, []*workload.Program{prog}, 16, obs)
+	cells, err := Figure3Pool(workload.SPEC92, []*workload.Program{prog}, 16, runner.Config{Workers: 1, Obs: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 
 	"memwall/internal/core"
 	"memwall/internal/cpu"
@@ -91,9 +92,18 @@ func NewSurrogate(m *Model, sampleEvery int, metrics *telemetry.Registry) (*Surr
 	return s, nil
 }
 
+// lookup finds a cell by any grid's key (see core.Grid): the grid
+// prefix is ignored, since a Table 6 cell is the Figure 3 cell of the
+// same suite, benchmark and machine.
+func (s *Surrogate) lookup(key string) (surrogateCell, bool) {
+	_, cell, _ := strings.Cut(key, ":")
+	c, ok := s.cells["fig3:"+cell]
+	return c, ok
+}
+
 // Predict implements runner.Twin.
 func (s *Surrogate) Predict(key string) ([]byte, bool) {
-	c, ok := s.cells[key]
+	c, ok := s.lookup(key)
 	if !ok {
 		return nil, false
 	}
@@ -110,7 +120,7 @@ func (s *Surrogate) Sampled(index int) bool {
 // Validate implements runner.Twin: the predicted execution time must lie
 // within the workload's calibrated error bound of the re-simulated one.
 func (s *Surrogate) Validate(key string, _, computed []byte) error {
-	c, ok := s.cells[key]
+	c, ok := s.lookup(key)
 	if !ok {
 		return fmt.Errorf("twin: validating unknown cell %s", key)
 	}
@@ -135,7 +145,7 @@ func (s *Surrogate) Validate(key string, _, computed []byte) error {
 // Cell returns the twin's prediction for one grid cell, for sweeps that
 // consume results directly rather than through a runner pool.
 func (s *Surrogate) Cell(key string) (core.DecomposeResult, bool) {
-	c, ok := s.cells[key]
+	c, ok := s.lookup(key)
 	return c.res, ok
 }
 

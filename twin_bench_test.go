@@ -1,8 +1,7 @@
 // Analytical-twin cost benchmarks: one Figure 3 grid point computed by
 // the full three-simulation decomposition vs. served by the calibrated
-// closed-form twin. benchjson pairs the Sim/Twin suffixes into a
-// before/after row with its speedup, so the twin's per-point cost
-// reduction is recorded in the bench-json artifact as data, not prose.
+// closed-form twin; the ratio of the Sim and Twin rows is the twin's
+// per-point cost reduction.
 package memwall
 
 import (
