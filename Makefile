@@ -51,7 +51,7 @@ paper:
 figures:
 	$(GO) run ./cmd/memplot
 
-# Cross-simulator invariant battery (slow).
+# Cross-simulator invariant battery over every benchmark.
 selfcheck:
 	$(GO) run ./cmd/memwall selfcheck
 

@@ -255,19 +255,34 @@ func BenchmarkSection43Extrapolation(b *testing.B) {
 
 // --- Component microbenchmarks ---
 
+// BenchmarkCacheAccess is the per-reference cost of one cache access over
+// random reads in a 1 MB footprint: a narrow set (64 KB 2-way) and the
+// fully-associative 64 KB caches of Table 9 (2048 ways at 32 B blocks,
+// 16384 at 4 B), whose hit lookup and victim choice are indexed.
 func BenchmarkCacheAccess(b *testing.B) {
-	c, err := cache.New(cache.Config{Size: 64 << 10, BlockSize: 32, Assoc: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := stats.NewRNG(1)
-	addrs := make([]uint64, 1<<14)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Intn(1 << 20))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(trace.Ref{Kind: trace.Read, Addr: addrs[i&(1<<14-1)]})
+	for _, bc := range []struct {
+		name             string
+		blockSize, assoc int
+	}{
+		{"64KB-32B-2way", 32, 2},
+		{"64KB-32B-fa", 32, 0},
+		{"64KB-4B-fa", 4, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := cache.New(cache.Config{Size: 64 << 10, BlockSize: bc.blockSize, Assoc: bc.assoc})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := stats.NewRNG(1)
+			addrs := make([]uint64, 1<<14)
+			for i := range addrs {
+				addrs[i] = uint64(rng.Intn(1 << 20))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(trace.Ref{Kind: trace.Read, Addr: addrs[i&(1<<14-1)]})
+			}
+		})
 	}
 }
 

@@ -309,44 +309,29 @@ func runTable9(env *env, args []string) error {
 	// Print the experiment-pair legend (Table 10) first.
 	legend := tablefmt.New("Table 10: experimental parameters",
 		"Factor", "Exp1", "Exp2")
-	for _, spec := range core.Factors(64 << 10) {
+	specs := core.Factors(64 << 10)
+	rows := make([][]string, len(specs))
+	for i, spec := range specs {
 		legend.AddRow(spec.Name, spec.Exp1.Label, spec.Exp2.Label)
+		rows[i] = []string{spec.Name}
 	}
 	fmt.Println(legend)
 
-	rows := map[string][]string{}
-	var factorOrder []string
 	for _, name := range names {
-		e := entries[name]
-		refs, err := e.Refs()
-		if err != nil {
-			return err
-		}
-		fut, err := e.Future(trace.WordSize)
-		if err != nil {
-			return err
-		}
 		size := 64 << 10
 		if name == "espresso" {
 			size = 16 << 10 // the paper shrinks espresso's cache to fit its data set
 		}
-		ref, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
+		_, res, err := core.MeasureFactors(size, entries[name])
 		if err != nil {
 			return err
 		}
-		for _, spec := range core.Factors(size) {
-			res, err := core.MeasureFactorRefs(spec, e, ref.TrafficBytes())
-			if err != nil {
-				return err
-			}
-			if _, seen := rows[spec.Name]; !seen {
-				factorOrder = append(factorOrder, spec.Name)
-			}
-			rows[spec.Name] = append(rows[spec.Name], fmt.Sprintf("%.1f", res.DeltaG))
+		for i, r := range res {
+			rows[i] = append(rows[i], fmt.Sprintf("%.1f", r.DeltaG))
 		}
 	}
-	for _, f := range factorOrder {
-		t.AddRow(append([]string{f}, rows[f]...)...)
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	fmt.Println(t)
 	return nil

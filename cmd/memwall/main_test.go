@@ -116,13 +116,29 @@ func TestTable8Output(t *testing.T) {
 	}
 }
 
-func TestTable9Output(t *testing.T) {
-	out := capture(t, func() error { return runTable9(&env{}, nil) })
-	for _, want := range []string{"Associativity", "Replacement", "Write validate", "MIN, fa, 4B, WV"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table9 output missing %q", want)
-		}
+// diffGolden fails t unless out is byte-identical to testdata/<name>.
+func diffGolden(t *testing.T, out, name string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if out != string(want) {
+		t.Errorf("output differs from testdata/%s\n got:\n%s\nwant:\n%s", name, out, want)
+	}
+}
+
+func TestTable9Output(t *testing.T) {
+	diffGolden(t, capture(t, func() error { return runTable9(&env{}, nil) }), "table9.golden")
+}
+
+// TestSelfcheckOutput runs the full default invariant battery, every
+// benchmark and every check group, and diffs its report.
+func TestSelfcheckOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing simulation")
+	}
+	diffGolden(t, capture(t, func() error { return runSelfcheck(&env{}, nil) }), "selfcheck.golden")
 }
 
 func TestEpinOutput(t *testing.T) {
@@ -155,14 +171,7 @@ func TestTable6Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")
 	}
-	out := capture(t, func() error { return runTable6(&env{}, []string{"-suite", "92"}) })
-	want, err := os.ReadFile(filepath.Join("testdata", "table6_92.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != string(want) {
-		t.Errorf("table6 -suite 92 differs from testdata/table6_92.golden\n got:\n%s\nwant:\n%s", out, want)
-	}
+	diffGolden(t, capture(t, func() error { return runTable6(&env{}, []string{"-suite", "92"}) }), "table6_92.golden")
 }
 
 func TestTable1Output(t *testing.T) {

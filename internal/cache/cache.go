@@ -271,8 +271,18 @@ func (l *line) present() bool { return l.valid != 0 }
 
 // Cache is a single-level trace-driven cache simulator.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
+	cfg Config
+	// lines holds every frame; set s is lines[s*ways : (s+1)*ways].
+	lines []line
+	ways  int
+	// cursor[s] is the fill cursor of set s: ways [0, cursor[s]) are
+	// valid and the rest invalid (see victim).
+	cursor []int32
+	// wide marks sets of more than wideWays ways, whose lookups go
+	// through index and whose LRU/FIFO victims come from order (wide.go).
+	wide      bool
+	index     tagIndex
+	order     recency
 	setShift  uint
 	setMask   uint64
 	blockMask uint64
@@ -304,13 +314,17 @@ func New(cfg Config) (*Cache, error) {
 	nsets := blocks / assoc
 	c := &Cache{
 		cfg:       cfg,
-		sets:      make([][]line, nsets),
+		lines:     make([]line, nsets*assoc),
+		ways:      assoc,
+		cursor:    make([]int32, nsets),
+		wide:      assoc > wideWays,
 		setMask:   uint64(nsets - 1),
 		blockMask: ^uint64(cfg.BlockSize - 1),
 		rng:       stats.NewRNG(0xC0FFEE),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, assoc)
+	if c.wide {
+		c.index = newTagIndex(len(c.lines))
+		c.order = newRecency(nsets, assoc)
 	}
 	for shift := cfg.BlockSize; shift > 1; shift >>= 1 {
 		c.setShift++
@@ -339,13 +353,20 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+func (c *Cache) setOf(addr uint64) (set uint64, tag uint64) {
 	blk := addr >> c.setShift
 	return blk & c.setMask, blk
 }
 
-// lookup returns the way index holding tag in set, or -1.
-func (c *Cache) lookup(set []line, tag uint64) int {
+// lookup returns the way index holding tag in set, which starts at line
+// base, or -1.
+func (c *Cache) lookup(set []line, base int, tag uint64) int {
+	if c.wide {
+		if i := c.index.get(tag); i >= 0 {
+			return i - base
+		}
+		return -1
+	}
 	for i := range set {
 		if set[i].present() && set[i].tag == tag {
 			return i
@@ -354,16 +375,26 @@ func (c *Cache) lookup(set []line, tag uint64) int {
 	return -1
 }
 
-// victim picks the way to replace in set according to the policy,
-// preferring an invalid way when one exists.
-func (c *Cache) victim(set []line) int {
-	for i := range set {
-		if !set[i].present() {
-			return i
-		}
+// victim picks the way to replace in set si, which starts at line base,
+// according to the policy, preferring the lowest invalid way when one
+// exists.
+//
+// The invalid ways of a set are always a suffix of it, so the lowest one
+// is the set's fill cursor: Access follows every evict with a fill of the
+// same way with a non-zero valid mask, so a victim never stays invalid,
+// and only Flush invalidates lines, resetting every cursor to zero. The
+// cursor advances here because every victim call is followed by a fill.
+func (c *Cache) victim(si uint64, set []line, base int) int {
+	if n := int(c.cursor[si]); n < len(set) {
+		c.cursor[si]++
+		return n
 	}
-	switch c.cfg.Repl {
-	case FIFO:
+	switch {
+	case c.cfg.Repl == Random:
+		return c.rng.Intn(len(set))
+	case c.wide:
+		return c.order.head(si) - base
+	case c.cfg.Repl == FIFO:
 		best := 0
 		for i := 1; i < len(set); i++ {
 			if set[i].allocTime < set[best].allocTime {
@@ -371,8 +402,6 @@ func (c *Cache) victim(set []line) int {
 			}
 		}
 		return best
-	case Random:
-		return c.rng.Intn(len(set))
 	default: // LRU
 		best := 0
 		for i := 1; i < len(set); i++ {
@@ -424,11 +453,15 @@ func (c *Cache) Access(r trace.Ref) bool {
 	} else {
 		c.stats.Reads++
 	}
-	si, tag := c.index(r.Addr)
-	set := c.sets[si]
+	si, tag := c.setOf(r.Addr)
+	base := int(si) * c.ways
+	set := c.lines[base : base+c.ways]
 	bit := c.subBit(r.Addr)
-	if w := c.lookup(set, tag); w >= 0 {
+	if w := c.lookup(set, base, tag); w >= 0 {
 		set[w].lastUse = c.now
+		if c.wide && c.cfg.Repl == LRU {
+			c.order.touch(si, base+w)
+		}
 		if set[w].valid&bit != 0 {
 			// Full hit.
 			if isWrite {
@@ -481,7 +514,10 @@ func (c *Cache) Access(r trace.Ref) bool {
 	} else {
 		c.stats.ReadMisses++
 	}
-	w := c.victim(set)
+	w := c.victim(si, set, base)
+	if c.wide && set[w].present() {
+		c.index.del(set[w].tag)
+	}
 	c.evict(set, w, false)
 	var fetch, valid, dirty uint64
 	switch {
@@ -497,6 +533,10 @@ func (c *Cache) Access(r trace.Ref) bool {
 		fetch, valid, dirty = c.allocMask(bit), c.allocMask(bit), 0
 	}
 	c.fill(set, w, tag, fetch, valid, dirty)
+	if c.wide {
+		c.index.put(tag, base+w)
+		c.order.touch(si, base+w)
+	}
 	return false
 }
 
@@ -563,10 +603,17 @@ func (c *Cache) refTick() {
 // Flush writes back all dirty blocks and invalidates the cache, as the
 // paper does "upon program completion, writing back all dirty data".
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for w := range set {
-			c.evict(set, w, true)
+	for si, n := range c.cursor {
+		base := si * c.ways
+		set := c.lines[base : base+c.ways]
+		for w := range n {
+			c.evict(set, int(w), true)
 		}
+		c.cursor[si] = 0
+	}
+	if c.wide {
+		c.index.reset()
+		c.order.reset()
 	}
 }
 
@@ -574,11 +621,9 @@ func (c *Cache) Flush() {
 // for tests and invariant checks).
 func (c *Cache) Contents() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.present() {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.present() {
+			n++
 		}
 	}
 	return n

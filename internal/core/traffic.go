@@ -334,27 +334,74 @@ func MeasureFactor(spec FactorSpec, s trace.Stream, refMTC units.Bytes) (FactorR
 	if err != nil {
 		return FactorResult{}, fmt.Errorf("core: factor %s exp2: %w", spec.Name, err)
 	}
-	r := FactorResult{Spec: spec, Traffic1: t1, Traffic2: t2}
-	if refMTC > 0 {
-		r.DeltaG = float64(t1-t2) / float64(refMTC)
-	}
-	return r, nil
+	return factorResult(spec, t1, t2, refMTC), nil
 }
 
-// MeasureFactorRefs is MeasureFactor over a shared materialized trace.
-// Byte-identical to MeasureFactor over the same trace.
-func MeasureFactorRefs(spec FactorSpec, tr RefTrace, refMTC units.Bytes) (FactorResult, error) {
-	t1, err := spec.Exp1.trafficRefs(tr)
-	if err != nil {
-		return FactorResult{}, fmt.Errorf("core: factor %s exp1: %w", spec.Name, err)
+// factorKey identifies one simulation of a factor experiment; exactly one
+// of the two configurations is non-zero.
+type factorKey struct {
+	cache cache.Config
+	mtc   mtc.Config
+}
+
+func (fc FactorConfig) key() factorKey {
+	var k factorKey
+	if fc.Cache != nil {
+		k.cache = *fc.Cache
 	}
-	t2, err := spec.Exp2.trafficRefs(tr)
-	if err != nil {
-		return FactorResult{}, fmt.Errorf("core: factor %s exp2: %w", spec.Name, err)
+	if fc.MTC != nil {
+		k.mtc = *fc.MTC
 	}
+	return k
+}
+
+// MeasureFactors runs one benchmark's column of Table 9 over a shared
+// materialized trace: the reference traffic (the canonical word-block
+// write-validate MTC) and one FactorResult per row of Factors(size), in
+// order. The rows share configurations — dm32, fa32, min32 and min4 each
+// appear twice, and the reference is the min4wv run — so traffic is
+// memoised by configuration and each of the six distinct simulations runs
+// once. Each row is byte-identical to MeasureFactor over the same trace.
+func MeasureFactors(size int, tr RefTrace) (units.Bytes, []FactorResult, error) {
+	memo := map[factorKey]units.Bytes{}
+	traffic := func(fc FactorConfig) (units.Bytes, error) {
+		k := fc.key()
+		if t, ok := memo[k]; ok {
+			return t, nil
+		}
+		t, err := fc.trafficRefs(tr)
+		if err != nil {
+			return 0, err
+		}
+		memo[k] = t
+		return t, nil
+	}
+	ref, err := traffic(FactorConfig{MTC: &mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}})
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: factor reference MTC: %w", err)
+	}
+	specs := Factors(size)
+	rows := make([]FactorResult, len(specs))
+	for i, spec := range specs {
+		t1, err := traffic(spec.Exp1)
+		if err != nil {
+			return 0, nil, fmt.Errorf("core: factor %s exp1: %w", spec.Name, err)
+		}
+		t2, err := traffic(spec.Exp2)
+		if err != nil {
+			return 0, nil, fmt.Errorf("core: factor %s exp2: %w", spec.Name, err)
+		}
+		rows[i] = factorResult(spec, t1, t2, ref)
+	}
+	return ref, rows, nil
+}
+
+// factorResult converts a pair's two traffic values into the change of G
+// relative to the reference MTC traffic refMTC.
+func factorResult(spec FactorSpec, t1, t2, refMTC units.Bytes) FactorResult {
 	r := FactorResult{Spec: spec, Traffic1: t1, Traffic2: t2}
 	if refMTC > 0 {
 		r.DeltaG = float64(t1-t2) / float64(refMTC)
 	}
-	return r, nil
+	return r
 }

@@ -59,27 +59,39 @@ func TestMeasureInefficiencyRefsMatchesStream(t *testing.T) {
 	}
 }
 
-func TestMeasureFactorRefsMatchesStream(t *testing.T) {
+// TestMeasureFactorsMatchesStream pins the memoised Table 9 column to the
+// per-row stream path: the reference traffic and every row must match
+// MeasureFactor over the same trace, bit for bit.
+func TestMeasureFactorsMatchesStream(t *testing.T) {
 	refs := loadRefs(t)
-	tr := TraceOfRefs(refs)
 	const size = 16 << 10
 	// Reference traffic: the canonical write-validate MTC.
-	ref, err := MeasureInefficiency(cache.Config{Size: size, BlockSize: 32, Assoc: 1, Repl: cache.LRU},
+	want, err := MeasureInefficiency(cache.Config{Size: size, BlockSize: 32, Assoc: 1, Repl: cache.LRU},
 		trace.NewSliceStream(refs), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range Factors(size) {
-		want, err := MeasureFactor(spec, trace.NewSliceStream(refs), ref.MTCTraffic)
+	ref, rows, err := MeasureFactors(size, TraceOfRefs(refs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref != want.MTCTraffic {
+		t.Errorf("reference traffic %d, want %d", ref, want.MTCTraffic)
+	}
+	specs := Factors(size)
+	if len(rows) != len(specs) {
+		t.Fatalf("%d rows, want %d", len(rows), len(specs))
+	}
+	for i, row := range rows {
+		if row.Spec.Name != specs[i].Name {
+			t.Errorf("row %d is %s, want %s", i, row.Spec.Name, specs[i].Name)
+		}
+		want, err := MeasureFactor(row.Spec, trace.NewSliceStream(refs), ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := MeasureFactorRefs(spec, tr, ref.MTCTraffic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("factor %s: refs path %+v != stream path %+v", spec.Name, got, want)
+		if row != want {
+			t.Errorf("factor %s: memoised %+v != stream path %+v", row.Spec.Name, row, want)
 		}
 	}
 }

@@ -14,9 +14,7 @@ import (
 	"memwall/internal/core"
 	"memwall/internal/corpus"
 	"memwall/internal/iocomplexity"
-	"memwall/internal/mtc"
 	"memwall/internal/runner"
-	"memwall/internal/trace"
 	"memwall/internal/trends"
 	"memwall/internal/twin"
 	"memwall/internal/workload"
@@ -223,30 +221,17 @@ func Collect(opts Options) (*Report, error) {
 	// Tables 9-10. The word-grain future tables built for Table 8's MTC
 	// runs are reused here via the corpus.
 	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := corp.Get(name, opts.Scale)
-		refs, err := e.Refs()
-		if err != nil {
-			return nil, err
-		}
-		fut, err := e.Future(trace.WordSize)
-		if err != nil {
-			return nil, err
-		}
 		size := 64 << 10
 		if name == "espresso" {
 			size = 16 << 10
 		}
-		ref, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}, fut, refs)
+		_, res, err := core.MeasureFactors(size, corp.Get(name, opts.Scale))
 		if err != nil {
 			return nil, err
 		}
 		fr := FactorRow{Benchmark: name, SizeBytes: size, DeltaG: map[string]float64{}}
-		for _, spec := range core.Factors(size) {
-			res, err := core.MeasureFactorRefs(spec, e, ref.TrafficBytes())
-			if err != nil {
-				return nil, err
-			}
-			fr.DeltaG[spec.Name] = res.DeltaG
+		for _, f := range res {
+			fr.DeltaG[f.Spec.Name] = f.DeltaG
 		}
 		r.Factors = append(r.Factors, fr)
 	}
