@@ -78,9 +78,10 @@ race:
 # Chaos suite: every injected fault class (short write, ENOSPC, torn
 # rename, bit-flip, worker panic, context cancel, slow write) exercised
 # under the race detector — the fault-injection unit tests, the
-# checkpoint ledger's degradation paths (including the Flight coalescing
-# tier), the corpus disk-tier corruption paths, the simulation service's
-# kill-and-drain / admission / coalescing tests, and the CLI
+# checkpoint ledger's degradation paths (including Ledger.Do's
+# coalescing), the corpus disk-tier corruption paths, the simulation
+# service's kill-and-drain / admission / coalescing / cell-panic tests,
+# and the CLI
 # kill-and-resume and cancel-then-resume determinism tests (see
 # DESIGN.md §11 and §16).
 chaos:

@@ -103,12 +103,13 @@ func runExplain(env *env, args []string) error {
 			})
 		}
 		for _, r := range cells.Records() {
+			cached := r.Source == runner.SourceCached
 			wall.Cells = append(wall.Cells, attr.WallCell{
 				Key: r.Key, Seconds: r.WallSeconds,
-				QueueSeconds: r.QueueSeconds, FromCheckpoint: r.FromCheckpoint,
+				QueueSeconds: r.QueueSeconds, FromCheckpoint: cached,
 			})
 			wall.TotalSeconds += r.WallSeconds
-			if r.FromCheckpoint {
+			if cached {
 				wall.CheckpointCells++
 			} else {
 				wall.ComputedCells++

@@ -274,7 +274,7 @@ func runSelfcheck(env *env, args []string) error {
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.Grid{Suite: suite, Progs: ps, Machines: ms, Span: "selfcheck:" + check, Key: "selfcheck:" + check}.Run(pool(nil))
+			res, err := core.Grid{Suite: suite, Machines: ms, Span: "selfcheck:" + check, Key: "selfcheck:" + check}.WithPrograms(ps).Run(context.Background(), pool(nil))
 			if err != nil {
 				return nil, err
 			}

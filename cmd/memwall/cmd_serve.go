@@ -66,10 +66,14 @@ func runServe(env *env, args []string) error {
 		RequestTimeout: *requestTimeout,
 		CheckpointDir:  env.checkpointDir,
 		FS:             env.fs,
-		Fault:          env.fault,
 		Corpus:         env.corpus,
 		Obs:            env.obs,
 		Metrics:        env.obs.Metrics,
+	}
+	// Only a live injector: a typed nil in the interface field would run
+	// the fault seam, as a no-op, at the top of every computed cell.
+	if env.fault != nil {
+		opts.Fault = env.fault
 	}
 	if *twinModel != "" {
 		m, err := twin.LoadModel(*twinModel)
@@ -86,8 +90,6 @@ func runServe(env *env, args []string) error {
 			return err
 		}
 		opts.Twin = sur
-		opts.TwinScale = m.Scale
-		opts.TwinCacheScale = m.CacheScale
 	}
 
 	s := serve.New(opts)

@@ -184,7 +184,7 @@ func runTable6(env *env, args []string) error {
 		if surr != nil {
 			pool.Twin = surr
 		}
-		res, err := core.Grid{Suite: suite, Progs: progs, Machines: machines, Span: "table6", Key: "table6"}.Run(pool)
+		res, err := core.Grid{Suite: suite, Machines: machines, Span: "table6", Key: "table6"}.WithPrograms(progs).Run(context.Background(), pool)
 		if err != nil {
 			return err
 		}

@@ -26,9 +26,16 @@
 // silent media corruption — fails the checksum and degrades to a re-run,
 // which is what makes "never a wrong answer" hold against byzantine
 // files, not just truncated ones.
+//
+// Memoization: Do is the runner's checkpoint seam. Beyond serving and
+// journaling cells it coalesces concurrent requests for one key onto a
+// single computation, which is what lets `memwall serve` answer N
+// identical in-flight cells with one simulation. A ledger from
+// NewMemory is the same tier without a file.
 package checkpoint
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -39,12 +46,16 @@ import (
 	"sync"
 
 	"memwall/internal/faultinject"
+	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 )
 
 // Format versions the ledger schema; bumping it retires every existing
-// ledger at once (format mismatch degrades to a fresh ledger).
-const Format = 1
+// ledger at once (format mismatch degrades to a fresh ledger). Format 2:
+// serve journals whole core.DecomposeResult cells, where Format 1 held
+// its own {decomposition, counts} shape — which would decode into a
+// zero result without error.
+const Format = 2
 
 // ledgerFile is the on-disk schema. Cells map the runner's cell keys
 // (e.g. "table6:SPEC92:su2cor/F") to their JSON-encoded results; Sum is
@@ -108,9 +119,10 @@ func newCounters(r *telemetry.Registry) counters {
 
 // Ledger is one run's checkpoint journal. It is safe for concurrent use
 // by the runner's workers; a nil *Ledger disables checkpointing (Lookup
-// always misses, Record no-ops), so call sites thread it unconditionally.
+// always misses, Record no-ops, Do computes), so call sites thread it
+// unconditionally.
 type Ledger struct {
-	dir         string
+	dir         string // "" for a memory-only ledger (NewMemory)
 	fingerprint string
 	path        string
 	fsys        faultinject.FS
@@ -119,8 +131,9 @@ type Ledger struct {
 
 	mu       sync.Mutex
 	cells    map[string]json.RawMessage
-	disabled bool // journaling stopped after a write failure
-	closed   bool // ledger retired by Close; Lookup misses, Record no-ops
+	flight   map[string]*call // computations in progress, by key
+	disabled bool             // journaling stopped after a write failure
+	closed   bool             // ledger retired by Close; Lookup misses, Record no-ops
 
 	// corruptions and staleness track detection counts independently of
 	// the (optional) metrics registry, for exit-code reporting.
@@ -149,9 +162,21 @@ func Open(opts Options) (*Ledger, error) {
 		ctr:         newCounters(opts.Metrics),
 		resume:      opts.Resume,
 		cells:       map[string]json.RawMessage{},
+		flight:      map[string]*call{},
 	}
 	l.load()
 	return l, nil
+}
+
+// NewMemory returns a ledger that keeps its cells in memory only: it
+// serves and coalesces like a resumable Open'd ledger, but writes no
+// file, so nothing outlives the process.
+func NewMemory() *Ledger {
+	return &Ledger{
+		resume: true,
+		cells:  map[string]json.RawMessage{},
+		flight: map[string]*call{},
+	}
 }
 
 // load reads the ledger file, classifying every defect as corrupt or
@@ -238,10 +263,18 @@ func (l *Ledger) Record(key string, value []byte) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.recordLocked(key, value)
+}
+
+// recordLocked is Record under l.mu.
+func (l *Ledger) recordLocked(key string, value []byte) {
 	if l.disabled || l.closed {
 		return
 	}
 	l.cells[key] = json.RawMessage(value)
+	if l.dir == "" {
+		return // memory-only: nothing to write
+	}
 	if err := l.writeLocked(); err != nil {
 		// Roll the cell back out so a later successful write (if the
 		// condition was transient and journaling re-enabled) could not
@@ -327,4 +360,119 @@ func (l *Ledger) WriteFailed() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.disabled
+}
+
+// call is one in-flight computation, shared by every caller that asked
+// for its key while it ran.
+type call struct {
+	done    chan struct{}
+	val     []byte
+	err     error
+	waiters int
+	cancel  context.CancelFunc
+}
+
+// Do implements runner.Checkpoint. It returns key's value from the
+// ledger (SourceCached; only a ledger opened with Resume serves), else
+// joins the computation of key already in flight (SourceCoalesced),
+// else runs compute (SourceComputed) and records its result. Errors are
+// never recorded, so a failed cell stays retryable.
+//
+// compute runs on a goroutine of its own, under a context that stays
+// live while at least one caller still waits: a caller whose ctx expires
+// gets ctx.Err() and departs, and the last departure cancels compute.
+// Work that completes after its callers left is still recorded, so a
+// retry finds it. A panic in compute reaches every waiter as an error.
+// A nil ledger runs compute inline.
+func (l *Ledger) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, runner.Source, error) {
+	if l == nil {
+		v, err := compute(ctx)
+		return v, runner.SourceComputed, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, runner.SourceComputed, err
+	}
+	l.mu.Lock()
+	if l.resume && !l.closed {
+		if v, ok := l.cells[key]; ok {
+			l.mu.Unlock()
+			l.ctr.hits.Inc()
+			return v, runner.SourceCached, nil
+		}
+		l.ctr.misses.Inc()
+	}
+	if c, ok := l.flight[key]; ok {
+		c.waiters++
+		l.mu.Unlock()
+		return l.wait(ctx, c, runner.SourceCoalesced)
+	}
+	// First caller for this key: the compute context belongs to the
+	// waiter set, not to this caller alone — a coalesced waiter must not
+	// fail because the caller that happened to arrive first left.
+	cctx, cancel := context.WithCancel(context.Background())
+	c := &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
+	l.flight[key] = c
+	l.mu.Unlock()
+
+	go func() {
+		defer close(c.done)
+		v, err := guarded(cctx, key, compute)
+		cancel()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		c.val, c.err = v, err
+		if err == nil {
+			l.recordLocked(key, v)
+		}
+		delete(l.flight, key)
+	}()
+	return l.wait(ctx, c, runner.SourceComputed)
+}
+
+// guarded runs compute, turning a panic into an error: compute runs on
+// Do's own goroutine, where an unrecovered panic would end the process.
+func guarded(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (v []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("checkpoint: computing %q panicked: %v", key, r)
+		}
+	}()
+	return compute(ctx)
+}
+
+// wait blocks until c completes or ctx expires. The departing waiter
+// decrements the refcount; the last one out cancels the compute context.
+// Cancelling after a normal completion is a no-op.
+func (l *Ledger) wait(ctx context.Context, c *call, src runner.Source) ([]byte, runner.Source, error) {
+	var v []byte
+	var err error
+	select {
+	case <-c.done:
+		v, err = c.val, c.err
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	l.mu.Lock()
+	c.waiters--
+	last := c.waiters <= 0
+	l.mu.Unlock()
+	if last {
+		c.cancel()
+	}
+	return v, src, err
+}
+
+// Inflight returns how many callers are waiting on key's computation (0
+// when none is running). Tests gate deterministic coalescing assertions
+// on it. Nil-safe.
+func (l *Ledger) Inflight(key string) int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c, ok := l.flight[key]; ok {
+		return c.waiters
+	}
+	return 0
 }

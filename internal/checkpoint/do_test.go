@@ -8,18 +8,19 @@ import (
 	"testing"
 	"time"
 
+	"memwall/internal/runner"
 	"memwall/internal/telemetry"
 )
 
-// TestFlightCoalescesExactlyOnce is the coalescing contract: N
-// concurrent Do calls for one key cost exactly one computation, and the
-// coalesced counter reads N-1. The compute function blocks until every
-// caller has joined the flight (gated on Inflight), so the assertion is
-// deterministic, not timing-dependent.
+// TestFlightCoalescesExactlyOnce is the coalescing contract of
+// Ledger.Do: N concurrent calls for one key cost exactly one
+// computation, and N-1 of them report SourceCoalesced. The compute
+// function blocks until every caller has joined the in-flight
+// computation (gated on Inflight), so the assertion is deterministic,
+// not timing-dependent.
 func TestFlightCoalescesExactlyOnce(t *testing.T) {
 	const n = 8
-	reg := telemetry.NewRegistry()
-	f := NewFlight(nil, reg.Counter("serve.coalesced"))
+	f := NewMemory()
 
 	var computes atomic.Int64
 	gate := make(chan struct{})
@@ -30,7 +31,7 @@ func TestFlightCoalescesExactlyOnce(t *testing.T) {
 	}
 
 	results := make([][]byte, n)
-	sources := make([]Source, n)
+	sources := make([]runner.Source, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -59,9 +60,9 @@ func TestFlightCoalescesExactlyOnce(t *testing.T) {
 			t.Fatalf("caller %d got %q", i, results[i])
 		}
 		switch sources[i] {
-		case SourceComputed:
+		case runner.SourceComputed:
 			computed++
-		case SourceCoalesced:
+		case runner.SourceCoalesced:
 			coalesced++
 		default:
 			t.Fatalf("caller %d: unexpected source %v", i, sources[i])
@@ -70,38 +71,35 @@ func TestFlightCoalescesExactlyOnce(t *testing.T) {
 	if computed != 1 || coalesced != n-1 {
 		t.Fatalf("sources: %d computed, %d coalesced; want 1, %d", computed, coalesced, n-1)
 	}
-	if got := reg.Snapshot().Counters["serve.coalesced"]; got != n-1 {
-		t.Fatalf("serve.coalesced = %d, want %d", got, n-1)
-	}
 }
 
-// TestFlightMemoTier: a completed key is served from memory without
-// recomputation, and reports SourceCached.
+// TestFlightMemoTier: a completed key is served from a memory-only
+// ledger without recomputation, and reports SourceCached.
 func TestFlightMemoTier(t *testing.T) {
-	f := NewFlight(nil, nil)
+	f := NewMemory()
 	var computes atomic.Int64
 	compute := func(ctx context.Context) ([]byte, error) {
 		computes.Add(1)
 		return []byte("v"), nil
 	}
-	if _, src, err := f.Do(context.Background(), "k", compute); err != nil || src != SourceComputed {
+	if _, src, err := f.Do(context.Background(), "k", compute); err != nil || src != runner.SourceComputed {
 		t.Fatalf("first Do: src %v, err %v", src, err)
 	}
 	v, src, err := f.Do(context.Background(), "k", compute)
-	if err != nil || src != SourceCached || string(v) != "v" {
+	if err != nil || src != runner.SourceCached || string(v) != "v" {
 		t.Fatalf("second Do: %q, %v, %v", v, src, err)
 	}
 	if computes.Load() != 1 {
 		t.Fatalf("compute ran %d times, want 1", computes.Load())
 	}
-	if f.MemoLen() != 1 {
-		t.Fatalf("MemoLen = %d, want 1", f.MemoLen())
+	if f.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", f.Len())
 	}
 }
 
-// TestFlightLedgerTier: a Flight over a resume-enabled ledger serves a
-// journaled cell without computing, and a computed cell is journaled so
-// a second Flight over the same file serves it cold.
+// TestFlightLedgerTier: Do on a resume-enabled ledger journals a
+// computed cell, so a second ledger over the same file serves it cold
+// without computing.
 func TestFlightLedgerTier(t *testing.T) {
 	dir := t.TempDir()
 	open := func(reg *telemetry.Registry) *Ledger {
@@ -112,22 +110,22 @@ func TestFlightLedgerTier(t *testing.T) {
 		return l
 	}
 
-	f1 := NewFlight(open(nil), nil)
+	f1 := open(nil)
 	var computes atomic.Int64
 	compute := func(ctx context.Context) ([]byte, error) {
 		computes.Add(1)
 		return []byte(`{"t":42}`), nil
 	}
-	if _, src, err := f1.Do(context.Background(), "cell", compute); err != nil || src != SourceComputed {
+	if _, src, err := f1.Do(context.Background(), "cell", compute); err != nil || src != runner.SourceComputed {
 		t.Fatalf("first Do: src %v, err %v", src, err)
 	}
 
-	// A fresh Flight over a fresh Ledger on the same dir+fingerprint:
-	// the cell must come from disk, not recomputation.
+	// A fresh Ledger on the same dir+fingerprint: the cell must come
+	// from disk, not recomputation.
 	reg := telemetry.NewRegistry()
-	f2 := NewFlight(open(reg), nil)
+	f2 := open(reg)
 	v, src, err := f2.Do(context.Background(), "cell", compute)
-	if err != nil || src != SourceCached || string(v) != `{"t":42}` {
+	if err != nil || src != runner.SourceCached || string(v) != `{"t":42}` {
 		t.Fatalf("cold Do: %q, %v, %v", v, src, err)
 	}
 	if computes.Load() != 1 {
@@ -142,7 +140,7 @@ func TestFlightLedgerTier(t *testing.T) {
 // the error is returned to its waiters but never cached, so the next
 // call computes again and can succeed.
 func TestFlightErrorsNotMemoized(t *testing.T) {
-	f := NewFlight(nil, nil)
+	f := NewMemory()
 	boom := errors.New("transient")
 	calls := 0
 	compute := func(ctx context.Context) ([]byte, error) {
@@ -156,7 +154,7 @@ func TestFlightErrorsNotMemoized(t *testing.T) {
 		t.Fatalf("first Do err = %v, want %v", err, boom)
 	}
 	v, src, err := f.Do(context.Background(), "k", compute)
-	if err != nil || src != SourceComputed || string(v) != "ok" {
+	if err != nil || src != runner.SourceComputed || string(v) != "ok" {
 		t.Fatalf("retry Do: %q, %v, %v", v, src, err)
 	}
 }
@@ -165,7 +163,7 @@ func TestFlightErrorsNotMemoized(t *testing.T) {
 // expires, the compute context is cancelled, freeing the workers
 // underneath. The departed caller sees its own ctx error.
 func TestFlightWaiterDepartureCancelsCompute(t *testing.T) {
-	f := NewFlight(nil, nil)
+	f := NewMemory()
 	computeCancelled := make(chan struct{})
 	started := make(chan struct{})
 	compute := func(ctx context.Context) ([]byte, error) {
@@ -195,7 +193,7 @@ func TestFlightWaiterDepartureCancelsCompute(t *testing.T) {
 // TestFlightSurvivingWaiterKeepsComputeAlive: one waiter departing must
 // NOT cancel a computation another waiter still needs.
 func TestFlightSurvivingWaiterKeepsComputeAlive(t *testing.T) {
-	f := NewFlight(nil, nil)
+	f := NewMemory()
 	gate := make(chan struct{})
 	compute := func(ctx context.Context) ([]byte, error) {
 		select {
@@ -232,8 +230,8 @@ func TestFlightSurvivingWaiterKeepsComputeAlive(t *testing.T) {
 	}
 }
 
-// TestFlightClosedLedgerStillComputes: Close retires the ledger under a
-// Flight without breaking the memory tier.
+// TestFlightClosedLedger: Close retires the ledger — Lookup misses and
+// Record no-ops afterwards — idempotently and nil-safely.
 func TestFlightClosedLedger(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(Options{Dir: dir, Fingerprint: "fp-close-test", Resume: true})

@@ -3,6 +3,8 @@
 package core
 
 import (
+	"context"
+
 	"memwall/internal/attr"
 	"memwall/internal/runner"
 	"memwall/internal/workload"
@@ -23,7 +25,7 @@ type ExplainCell struct {
 // sweep never collides with a fig3 sweep in a shared checkpoint ledger.
 func ExplainPool(suite workload.Suite, progs []*workload.Program, cacheScale int, opts attr.Options, pool runner.Config) ([]ExplainCell, error) {
 	machines := MachinesScaled(suite, cacheScale)
-	results, err := Grid{Suite: suite, Progs: progs, Machines: machines, Span: "explain", Key: "explain", Attr: &opts}.Run(pool)
+	results, err := Grid{Suite: suite, Machines: machines, Span: "explain", Key: "explain", Attr: &opts}.WithPrograms(progs).Run(context.TODO(), pool)
 	if err != nil {
 		return nil, err
 	}

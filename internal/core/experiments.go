@@ -3,6 +3,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"memwall/internal/cpu"
@@ -178,7 +179,7 @@ type BenchmarkDecomposition struct {
 // is an explicit error rather than a silent NormTime of 0.
 func Figure3Pool(suite workload.Suite, progs []*workload.Program, cacheScale int, pool runner.Config) ([]BenchmarkDecomposition, error) {
 	machines := MachinesScaled(suite, cacheScale)
-	results, err := Grid{Suite: suite, Progs: progs, Machines: machines, Span: "bench", Key: "fig3"}.Run(pool)
+	results, err := Grid{Suite: suite, Machines: machines, Span: "bench", Key: "fig3"}.WithPrograms(progs).Run(context.TODO(), pool)
 	if err != nil {
 		return nil, err
 	}

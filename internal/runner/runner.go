@@ -18,16 +18,18 @@
 // workers stop claiming tasks promptly, and Map returns every task error
 // joined with errors.Join in task-index order (so the error text is also
 // schedule-independent for a fixed set of failing tasks). A panicking
-// task never escapes the pool: a worker-boundary recover converts it
-// into a task error carrying the cell's identity (its key/name and
-// index), which then follows the ordinary fail-fast path.
+// task never escapes the pool: a worker-boundary recover — and one
+// inside the compute a checkpoint store may run on a goroutine of its
+// own — converts it into a task error carrying the cell's identity (its
+// key/name and index), which then follows the ordinary fail-fast path.
 //
-// Checkpointing: when Config.Checkpoint is set, each task's result is
-// JSON-round-tripped through the ledger — completed cells are served
-// from Lookup (skipping the compute entirely) and fresh results are
-// journaled via Record. Because results are collected in index order
-// either way, a resumed run's output is byte-identical to an
-// uninterrupted one at any worker count.
+// Checkpointing: when Config.Checkpoint is set, each task runs through
+// its Do — completed cells are served from the store (skipping the
+// compute entirely), a cell whose key is already being computed by
+// another caller joins that computation, and fresh results are stored
+// JSON-encoded. Because results are collected in index order either
+// way, a resumed run's output is byte-identical to an uninterrupted one
+// at any worker count.
 //
 // Telemetry: each worker traces on its own Perfetto track
 // (Tracer.WithTID), each task is wrapped in a span named by
@@ -50,13 +52,32 @@ import (
 	"memwall/internal/telemetry"
 )
 
-// Checkpoint is the cell ledger seam (satisfied by *checkpoint.Ledger,
-// including a nil one — both methods must be nil-receiver-safe).
-// Lookup returns a completed cell's JSON result; Record journals one.
+// Checkpoint is the cell-store seam (satisfied by *checkpoint.Ledger).
+// Do returns key's JSON-encoded result and where it came from: the
+// store (SourceCached), a computation of the same key already in flight
+// for another caller (SourceCoalesced), or compute run by this call
+// (SourceComputed). A successful compute is stored; an error never is.
+// Do may run compute on a goroutine of its own, under a context that
+// stays live while any caller still waits for the key.
 type Checkpoint interface {
-	Lookup(key string) ([]byte, bool)
-	Record(key string, value []byte)
+	Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, Source, error)
 }
+
+// Source is where a cell's result came from, named as serve responses
+// carry it.
+type Source string
+
+const (
+	// SourceComputed: the cell ran here (also a failed cell's source).
+	SourceComputed Source = "computed"
+	// SourceCached: served from the checkpoint store.
+	SourceCached Source = "cached"
+	// SourceCoalesced: joined another caller's computation of the key.
+	SourceCoalesced Source = "coalesced"
+	// SourceTwin: served by the analytical surrogate (sampled cells
+	// included — they also ran the full computation for validation).
+	SourceTwin Source = "twin"
+)
 
 // Twin is the analytical-surrogate seam (satisfied by *twin.Surrogate).
 // Predict returns the JSON-encoded predicted result for a cell key, or
@@ -76,8 +97,9 @@ type Twin interface {
 
 // Fault is the worker-level fault seam (satisfied by
 // *faultinject.Injector, including a nil one). CellStart runs at the top
-// of every computed cell and may panic (worker kill) or call cancel
-// (external shutdown).
+// of every computed cell — never for a cached, coalesced or twin-served
+// one — and may panic (worker kill) or call cancel (external shutdown,
+// which also stops the cell it fired in).
 type Fault interface {
 	CellStart(index int, cancel func())
 }
@@ -109,12 +131,12 @@ type Config struct {
 	// task i. Keys must be unique within the grid and stable across runs
 	// of the same configuration.
 	CellKey func(i int) string
-	// Checkpoint, when non-nil, journals each completed cell's
-	// JSON-encoded result and serves previously-completed cells without
-	// recomputing them. Requires a key function (CellKey or TaskName);
-	// results must round-trip through encoding/json. A value whose
-	// Lookup never hits (e.g. a record-only ledger) degrades to plain
-	// journaling.
+	// Checkpoint, when non-nil, stores each completed cell's
+	// JSON-encoded result, serves previously-completed cells without
+	// recomputing them, and coalesces concurrent cells of one key onto a
+	// single computation. Requires a key function (CellKey or TaskName);
+	// results must round-trip through encoding/json. A store that never
+	// serves (e.g. a record-only ledger) degrades to plain journaling.
 	Checkpoint Checkpoint
 	// Twin, when non-nil, serves cells from an analytical surrogate
 	// instead of computing them: a cell whose key the twin can predict
@@ -127,11 +149,11 @@ type Config struct {
 	// Requires a key function (CellKey or TaskName).
 	Twin Twin
 	// Fault, when non-nil, is invoked at the start of every computed
-	// (non-checkpoint-served) cell; it is the injection point for
-	// deterministic worker kills and context cancellation.
+	// cell; it is the injection point for deterministic worker kills and
+	// context cancellation.
 	Fault Fault
 	// Cells, when non-nil, collects per-cell wall-clock statistics (wall
-	// time, queue wait, checkpoint-hit attribution) for run reports. Wall
+	// time, queue wait, source attribution) for run reports. Wall
 	// data is observability output only — it never feeds simulated
 	// results, so collecting it does not affect determinism.
 	Cells *CellStats
@@ -150,13 +172,8 @@ type CellRecord struct {
 	// QueueSeconds is the time between Map starting and this cell being
 	// claimed by a worker — the queue wait induced by the worker budget.
 	QueueSeconds float64 `json:"queueSeconds"`
-	// FromCheckpoint reports whether the cell was served from the
-	// checkpoint ledger instead of being computed.
-	FromCheckpoint bool `json:"fromCheckpoint,omitempty"`
-	// FromTwin reports whether the cell was served by the analytical
-	// surrogate (true even for sampled cells, which also ran the full
-	// computation for validation).
-	FromTwin bool `json:"fromTwin,omitempty"`
+	// Source is where the cell's result came from.
+	Source Source `json:"source"`
 	// Failed reports whether the cell returned an error (or panicked).
 	Failed bool `json:"failed,omitempty"`
 }
@@ -211,12 +228,12 @@ type Summary struct {
 	// Cells is the number of cells the pool executed (grid size, minus
 	// any skipped after a fail-fast cancel).
 	Cells int `json:"cells"`
-	// Computed counts cells that ran the full computation.
-	Computed int `json:"computed"`
-	// FromCheckpoint counts cells served from the checkpoint ledger.
-	FromCheckpoint int `json:"fromCheckpoint"`
-	// FromTwin counts cells served by the analytical surrogate.
-	FromTwin int `json:"fromTwin"`
+	// Computed, Cached, Coalesced and Twin count the cells that
+	// succeeded, by Source.
+	Computed  int `json:"computed"`
+	Cached    int `json:"cached"`
+	Coalesced int `json:"coalesced"`
+	Twin      int `json:"twin"`
 	// Failed counts cells that returned an error or panicked.
 	Failed int `json:"failed"`
 	// WallSeconds is the summed per-cell wall time (CPU-seconds of grid
@@ -238,15 +255,16 @@ func (s *CellStats) Summary() Summary {
 	for _, r := range s.records {
 		out.Cells++
 		switch {
-		case r.FromCheckpoint:
-			out.FromCheckpoint++
-		case r.FromTwin:
-			out.FromTwin++
-		case !r.Failed:
-			out.Computed++
-		}
-		if r.Failed {
+		case r.Failed:
 			out.Failed++
+		case r.Source == SourceCached:
+			out.Cached++
+		case r.Source == SourceCoalesced:
+			out.Coalesced++
+		case r.Source == SourceTwin:
+			out.Twin++
+		default:
+			out.Computed++
 		}
 		out.WallSeconds += r.WallSeconds
 		if r.QueueSeconds > out.MaxQueueSeconds {
@@ -302,14 +320,19 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 		return fmt.Sprintf("cell %d", i)
 	}
 
+	// panicked turns a recovered panic into the cell's task error.
+	panicked := func(i int, r any) error {
+		cfg.Obs.Metrics.Counter("runner.panics").Inc()
+		return fmt.Errorf("%s panicked: %v", cellID(i), r)
+	}
+
 	runTask := func(i int, tracer *telemetry.Tracer) (v T, err error) {
 		var sp *telemetry.Span
 		if cfg.TaskName != nil {
 			sp = tracer.StartSpan(cfg.TaskName(i), nil)
 		}
 		defer sp.End()
-		fromCheckpoint := false
-		fromTwin := false
+		src := SourceComputed
 		if cfg.Cells != nil {
 			//memlint:allow detlint cell wall stats measure the simulator itself, not simulated time
 			claimed := time.Now()
@@ -319,12 +342,11 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 				//memlint:allow detlint cell wall stats measure the simulator itself, not simulated time
 				wall := time.Since(claimed)
 				rec := CellRecord{
-					Index:          i,
-					WallSeconds:    wall.Seconds(),
-					QueueSeconds:   claimed.Sub(cfg.Cells.start).Seconds(),
-					FromCheckpoint: fromCheckpoint,
-					FromTwin:       fromTwin,
-					Failed:         err != nil,
+					Index:        i,
+					WallSeconds:  wall.Seconds(),
+					QueueSeconds: claimed.Sub(cfg.Cells.start).Seconds(),
+					Source:       src,
+					Failed:       err != nil,
 				}
 				if keyFn != nil {
 					rec.Key = keyFn(i)
@@ -333,15 +355,30 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 			}()
 		}
 		// Worker boundary: a panicking cell must fail the run with its
-		// identity attached, never crash the process. Registered before
-		// Fault.CellStart so injected panics exercise the same path a
-		// real one would.
+		// identity attached, never crash the process.
 		defer func() {
 			if r := recover(); r != nil {
-				cfg.Obs.Metrics.Counter("runner.panics").Inc()
-				err = fmt.Errorf("%s panicked: %v", cellID(i), r)
+				err = panicked(i, r)
 			}
 		}()
+		// compute runs the cell itself. The fault seam fires at its top,
+		// so injected panics exercise the same recovery a real one would,
+		// and its cancel stops this cell too: a cancellation that lands at
+		// the cell boundary (injected, from a departed client, or a server
+		// drain) stops the cell before its simulations start.
+		compute := func(ctx context.Context) (T, error) {
+			if cfg.Fault != nil {
+				var stop context.CancelFunc
+				ctx, stop = context.WithCancel(ctx)
+				defer stop()
+				cfg.Fault.CellStart(i, func() { cancel(); stop() })
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				var zero T
+				return zero, cerr
+			}
+			return fn(ctx, i, tracer)
+		}
 		if cfg.Twin != nil && keyFn != nil {
 			key := keyFn(i)
 			if pb, ok := cfg.Twin.Predict(key); ok {
@@ -350,18 +387,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 					if cfg.Twin.Sampled(i) {
 						// Ground-truth sample: compute the cell in full and
 						// check the prediction against its calibrated bound.
-						// The fault seam still fires — a sampled cell is a
-						// computed cell.
-						if cfg.Fault != nil {
-							cfg.Fault.CellStart(i, cancel)
-						}
-						// A cancellation that landed at the cell boundary
-						// (injected or from a departed client) stops the cell
-						// before its three simulations start.
-						if cerr := ctx.Err(); cerr != nil {
-							return pred, cerr
-						}
-						truth, terr := fn(ctx, i, tracer)
+						truth, terr := compute(ctx)
 						if terr != nil {
 							return pred, terr
 						}
@@ -373,43 +399,48 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 							return pred, verr
 						}
 					}
-					fromTwin = true
+					src = SourceTwin
 					return pred, nil
 				}
 				// Undecodable prediction (schema drift): compute normally.
 				cfg.Obs.Metrics.Counter("runner.twin.decode_errors").Inc()
 			}
 		}
-		if cfg.Checkpoint != nil && keyFn != nil {
-			if b, ok := cfg.Checkpoint.Lookup(keyFn(i)); ok {
-				var cached T
-				if jerr := json.Unmarshal(b, &cached); jerr == nil {
-					fromCheckpoint = true
-					return cached, nil
+		if cfg.Checkpoint == nil || keyFn == nil {
+			return compute(ctx)
+		}
+		var fresh T
+		b, s, err := cfg.Checkpoint.Do(ctx, keyFn(i), func(ctx context.Context) (b []byte, err error) {
+			// Do may run this on a goroutine of its own, out of reach of
+			// the worker-boundary recover: a panic here must still reach
+			// every waiter as this cell's error.
+			defer func() {
+				if r := recover(); r != nil {
+					err = panicked(i, r)
 				}
-				// Undecodable cell (schema drift the fingerprint missed):
-				// fall through and recompute — degrade, never fail.
-				cfg.Obs.Metrics.Counter("runner.checkpoint.decode_errors").Inc()
+			}()
+			if fresh, err = compute(ctx); err != nil {
+				return nil, err
 			}
+			return json.Marshal(fresh)
+		})
+		src = s
+		if err != nil {
+			// fresh is not read here: a departed caller's compute may
+			// still be running.
+			return v, err
 		}
-		if cfg.Fault != nil {
-			cfg.Fault.CellStart(i, cancel)
+		if s == SourceComputed {
+			return fresh, nil
 		}
-		// Cell-boundary cancellation check: a context cancelled between
-		// this worker claiming the cell and the compute starting (client
-		// disconnect, injected cancel@N, server drain deadline) must not
-		// burn three simulations on a result nobody will read. The ledger
-		// stays resumable either way — Record only ever runs on success.
-		if cerr := ctx.Err(); cerr != nil {
-			return v, cerr
+		if jerr := json.Unmarshal(b, &v); jerr != nil {
+			// Undecodable cell (schema drift the fingerprint missed):
+			// recompute — degrade, never fail.
+			cfg.Obs.Metrics.Counter("runner.checkpoint.decode_errors").Inc()
+			src = SourceComputed
+			return compute(ctx)
 		}
-		v, err = fn(ctx, i, tracer)
-		if err == nil && cfg.Checkpoint != nil && keyFn != nil {
-			if b, jerr := json.Marshal(v); jerr == nil {
-				cfg.Checkpoint.Record(keyFn(i), b)
-			}
-		}
-		return v, err
+		return v, nil
 	}
 
 	if workers == 1 {

@@ -176,7 +176,8 @@ func TestMapTaskSpans(t *testing.T) {
 	}
 }
 
-// fakeLedger is an in-memory Checkpoint for hook tests.
+// fakeLedger is an in-memory Checkpoint for hook tests: Do serves a
+// stored cell when serves is set, else computes inline and records.
 type fakeLedger struct {
 	mu      sync.Mutex
 	cells   map[string][]byte
@@ -184,24 +185,25 @@ type fakeLedger struct {
 	records int
 }
 
-func (f *fakeLedger) Lookup(key string) ([]byte, bool) {
+func (f *fakeLedger) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, Source, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.serves {
-		return nil, false
-	}
 	b, ok := f.cells[key]
-	return b, ok
-}
-
-func (f *fakeLedger) Record(key string, value []byte) {
+	f.mu.Unlock()
+	if ok && f.serves {
+		return b, SourceCached, nil
+	}
+	b, err := compute(ctx)
+	if err != nil {
+		return nil, SourceComputed, err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.cells == nil {
 		f.cells = map[string][]byte{}
 	}
-	f.cells[key] = value
+	f.cells[key] = b
 	f.records++
+	return b, SourceComputed, nil
 }
 
 // TestMapPanicBecomesTaskError: a panicking cell fails the run with its
@@ -213,6 +215,54 @@ func TestMapPanicBecomesTaskError(t *testing.T) {
 			Workers:  j,
 			Obs:      telemetry.Observation{Metrics: reg},
 			TaskName: func(i int) string { return fmt.Sprintf("grid:cell-%d", i) },
+		}, 8, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
+			if i == 3 {
+				panic("blown invariant")
+			}
+			return i, nil
+		})
+		if err == nil {
+			t.Fatalf("j=%d: panic did not fail the run", j)
+		}
+		for _, want := range []string{`"grid:cell-3"`, "task 3", "panicked", "blown invariant"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("j=%d: error %q lacks %q", j, err, want)
+			}
+		}
+		if got := reg.Snapshot().Counters["runner.panics"]; got != 1 {
+			t.Errorf("j=%d: runner.panics = %d, want 1", j, got)
+		}
+	}
+}
+
+// detachedLedger is a Checkpoint whose Do runs compute on a goroutine
+// of its own, as checkpoint.Ledger does, and records nothing.
+type detachedLedger struct{}
+
+func (detachedLedger) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, Source, error) {
+	var b []byte
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b, err = compute(ctx)
+	}()
+	<-done
+	return b, SourceComputed, err
+}
+
+// TestMapCheckpointPanicBecomesTaskError: a cell that panics inside a
+// detached checkpoint compute fails the run like one that panics on the
+// worker — identity in the error, one runner.panics — instead of
+// crashing the process from a goroutine no worker recovers.
+func TestMapCheckpointPanicBecomesTaskError(t *testing.T) {
+	for _, j := range []int{1, 4} {
+		reg := telemetry.NewRegistry()
+		_, err := Map(context.Background(), Config{
+			Workers:    j,
+			Obs:        telemetry.Observation{Metrics: reg},
+			TaskName:   func(i int) string { return fmt.Sprintf("grid:cell-%d", i) },
+			Checkpoint: detachedLedger{},
 		}, 8, func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
 			if i == 3 {
 				panic("blown invariant")
@@ -378,8 +428,12 @@ func TestMapCellStats(t *testing.T) {
 			if r.WallSeconds < 0 || r.QueueSeconds < 0 {
 				t.Errorf("j=%d: record %d has negative timing: %+v", j, i, r)
 			}
-			if r.FromCheckpoint != (i == 1) {
-				t.Errorf("j=%d: record %d fromCheckpoint = %v", j, i, r.FromCheckpoint)
+			want := SourceComputed
+			if i == 1 {
+				want = SourceCached
+			}
+			if r.Source != want {
+				t.Errorf("j=%d: record %d source = %v, want %v", j, i, r.Source, want)
 			}
 			if r.Failed {
 				t.Errorf("j=%d: record %d marked failed", j, i)
@@ -437,13 +491,14 @@ func TestCellStatsNilSafe(t *testing.T) {
 // exactly once and accumulates wall/queue timing.
 func TestCellStatsSummary(t *testing.T) {
 	s := &CellStats{}
-	s.begin(4, time.Time{})
+	s.begin(5, time.Time{})
 	s.record(CellRecord{Index: 0, WallSeconds: 1, QueueSeconds: 0.5})
-	s.record(CellRecord{Index: 1, WallSeconds: 2, QueueSeconds: 3, FromCheckpoint: true})
-	s.record(CellRecord{Index: 2, WallSeconds: 4, FromTwin: true})
+	s.record(CellRecord{Index: 1, WallSeconds: 2, QueueSeconds: 3, Source: SourceCached})
+	s.record(CellRecord{Index: 2, WallSeconds: 4, Source: SourceTwin})
 	s.record(CellRecord{Index: 3, WallSeconds: 8, QueueSeconds: 1, Failed: true})
+	s.record(CellRecord{Index: 4, WallSeconds: 16, Source: SourceCoalesced})
 	got := s.Summary()
-	want := Summary{Cells: 4, Computed: 1, FromCheckpoint: 1, FromTwin: 1, Failed: 1, WallSeconds: 15, MaxQueueSeconds: 3}
+	want := Summary{Cells: 5, Computed: 1, Cached: 1, Coalesced: 1, Twin: 1, Failed: 1, WallSeconds: 31, MaxQueueSeconds: 3}
 	if got != want {
 		t.Errorf("Summary = %+v, want %+v", got, want)
 	}
@@ -601,8 +656,8 @@ func TestMapTwinDecodeErrorComputes(t *testing.T) {
 	}
 }
 
-// TestMapTwinCellStats: twin-served cells are attributed FromTwin in the
-// wall-clock records (sampled ones included — they also computed).
+// TestMapTwinCellStats: twin-served cells are attributed SourceTwin in
+// the wall-clock records (sampled ones included — they also computed).
 func TestMapTwinCellStats(t *testing.T) {
 	tw := &fakeTwin{every: 2, preds: map[string][]byte{
 		"cell-0": []byte(`0`), "cell-1": []byte(`1`),
@@ -623,9 +678,9 @@ func TestMapTwinCellStats(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("%d cell records, want 3", len(recs))
 	}
-	for i, want := range []bool{true, true, false} {
-		if recs[i].FromTwin != want {
-			t.Errorf("cell %d FromTwin = %v, want %v", i, recs[i].FromTwin, want)
+	for i, want := range []Source{SourceTwin, SourceTwin, SourceComputed} {
+		if recs[i].Source != want {
+			t.Errorf("cell %d source = %v, want %v", i, recs[i].Source, want)
 		}
 	}
 }

@@ -3,18 +3,27 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"memwall/internal/checkpoint"
+	"memwall/internal/core"
+	"memwall/internal/corpus"
 	"memwall/internal/faultinject"
+	"memwall/internal/runner"
 	"memwall/internal/telemetry"
+	"memwall/internal/twin"
+	"memwall/internal/workload"
 )
 
 // smallSpec is the one-cell request most tests use: compress on
@@ -24,6 +33,13 @@ func smallSpec() Spec {
 }
 
 const smallKey = "fig3:SPEC92:compress/A"
+
+// faultFunc adapts a function to the runner.Fault seam. It fires at the
+// top of every computed cell, which makes it the tests' way to hold,
+// count or break a cell's computation.
+type faultFunc func(index int, cancel func())
+
+func (f faultFunc) CellStart(index int, cancel func()) { f(index, cancel) }
 
 // testServer builds a Server plus its httptest wrapper, and tears both
 // down (drain first, then close) at test end.
@@ -137,19 +153,16 @@ func TestServeBadSpecs(t *testing.T) {
 // in-flight work finishes, a fresh request succeeds.
 func TestServeAdmissionControl(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, hs := testServer(t, Options{
+	// Hold the single executor hostage so admitted jobs stay queued and
+	// admission alone decides the outcome.
+	gate := make(chan struct{})
+	_, hs := testServer(t, Options{
 		Metrics: reg,
 		Rate:    0.5, // one token per 2s: effectively no refill inside the test
 		Burst:   2,
 		Jobs:    1,
+		Fault:   faultFunc(func(int, func()) { <-gate }),
 	})
-	// Hold the single executor hostage so admitted jobs stay queued and
-	// admission alone decides the outcome.
-	gate := make(chan struct{})
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		<-gate
-		return json.Marshal(cellPayload{})
-	}
 
 	var wg sync.WaitGroup
 	statuses := make([]int, 3)
@@ -205,12 +218,6 @@ func TestServeAdmissionControl(t *testing.T) {
 // TestServeQueueFull: a full job queue rejects with 429 + Retry-After
 // even when the token bucket would admit.
 func TestServeQueueFull(t *testing.T) {
-	s, hs := testServer(t, Options{
-		Rate:       1000,
-		Burst:      1000,
-		Jobs:       1,
-		QueueDepth: 1,
-	})
 	gate := make(chan struct{})
 	defer func() {
 		select {
@@ -219,10 +226,13 @@ func TestServeQueueFull(t *testing.T) {
 			close(gate)
 		}
 	}()
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		<-gate
-		return json.Marshal(cellPayload{})
-	}
+	_, hs := testServer(t, Options{
+		Rate:       1000,
+		Burst:      1000,
+		Jobs:       1,
+		QueueDepth: 1,
+		Fault:      faultFunc(func(int, func()) { <-gate }),
+	})
 	// First request occupies the executor, second fills the queue.
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
@@ -251,27 +261,26 @@ func TestServeQueueFull(t *testing.T) {
 // TestServeCoalescing is the acceptance criterion: N concurrent
 // identical requests cost exactly one simulation, with the coalescing
 // counter reading N-1. The compute gate releases only when all N jobs
-// are waiting on the same flight, so the assertion is deterministic.
+// are waiting on the same in-flight computation, so the assertion is
+// deterministic.
 func TestServeCoalescing(t *testing.T) {
 	const n = 4
 	reg := telemetry.NewRegistry()
+	var computes int
+	var mu sync.Mutex
+	gate := make(chan struct{})
 	s, hs := testServer(t, Options{
 		Metrics: reg,
 		Jobs:    n, // every job gets its own executor: all N run concurrently
 		Burst:   n + 1,
 		Rate:    1000,
+		Fault: faultFunc(func(int, func()) {
+			mu.Lock()
+			computes++
+			mu.Unlock()
+			<-gate // hold until every job has joined the computation
+		}),
 	})
-	var computes int
-	var mu sync.Mutex
-	gate := make(chan struct{})
-	real := s.computeFn
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		mu.Lock()
-		computes++
-		mu.Unlock()
-		<-gate // hold until every job has joined the flight
-		return real(c, sp, tracer)
-	}
 
 	var wg sync.WaitGroup
 	statuses := make([]int, n)
@@ -284,17 +293,7 @@ func TestServeCoalescing(t *testing.T) {
 		}(i)
 	}
 	// All N jobs waiting on one computation, then release it.
-	fl, err := s.flightFor(1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for fl.Inflight(smallKey) < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d jobs joined the flight", fl.Inflight(smallKey), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitInflight(t, s, smallKey, n)
 	close(gate)
 	wg.Wait()
 
@@ -443,15 +442,14 @@ func TestServeKillAndDrainByteIdentical(t *testing.T) {
 // ledger make retries free).
 func TestServeDeadline(t *testing.T) {
 	dir := t.TempDir()
-	s, hs := testServer(t, Options{CheckpointDir: dir})
 	slow := make(chan struct{})
 	var once sync.Once
-	real := s.computeFn
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-		b, err := real(c, sp, tracer)
-		once.Do(func() { <-slow }) // first compute outlives the deadline
-		return b, err
-	}
+	_, hs := testServer(t, Options{
+		CheckpointDir: dir,
+		Fault: faultFunc(func(int, func()) {
+			once.Do(func() { <-slow }) // first compute outlives the deadline
+		}),
+	})
 	spec := smallSpec()
 	spec.TimeoutSeconds = 0.2
 	done := make(chan struct{})
@@ -465,9 +463,10 @@ func TestServeDeadline(t *testing.T) {
 	<-done
 	close(slow)
 
-	// Retry without the tiny deadline: the first compute (detached, it
-	// kept running for nobody) journaled its cell, so this is cached —
-	// or computes fresh if that write raced; either way it succeeds.
+	// Retry without the tiny deadline. The first compute (detached, it
+	// outlived its only waiter) stopped at its cell boundary, so this one
+	// computes fresh — or is cached, had that compute already begun
+	// simulating; either way it succeeds.
 	status, body, _ := post(t, hs.URL, smallSpec())
 	if status != http.StatusOK {
 		t.Fatalf("retry: status %d (%s)", status, body)
@@ -529,17 +528,15 @@ func TestServeDrainProtocol(t *testing.T) {
 // force-cancels the in-flight job (which reports 503 to its client) and
 // returns an error for the exit-code taxonomy.
 func TestServeForcedDrain(t *testing.T) {
-	s := New(Options{Workers: 1, Jobs: 1})
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
 	started := make(chan struct{})
 	var startOnce sync.Once
 	gate := make(chan struct{})
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
+	s := New(Options{Workers: 1, Jobs: 1, Fault: faultFunc(func(int, func()) {
 		startOnce.Do(func() { close(started) })
 		<-gate
-		return json.Marshal(cellPayload{})
-	}
+	})})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
 	defer close(gate)
 
 	clientDone := make(chan int, 1)
@@ -559,7 +556,7 @@ func TestServeForcedDrain(t *testing.T) {
 		t.Errorf("forced drain error: %v", err)
 	}
 	// The hostage compute never returns until gate closes — but the
-	// job's context is cancelled, so the flight waiter departed and the
+	// job's context is cancelled, so its ledger waiter departed and the
 	// runner unwound. The client sees the draining rejection.
 	select {
 	case st := <-clientDone:
@@ -575,19 +572,16 @@ func TestServeForcedDrain(t *testing.T) {
 // workers (the job unwinds via context cancellation) and the server
 // keeps serving.
 func TestServeClientDisconnect(t *testing.T) {
-	s, hs := testServer(t, Options{Workers: 1, Jobs: 1})
 	started := make(chan struct{})
 	var startOnce sync.Once
 	gate := make(chan struct{})
-	real := s.computeFn
-	s.computeFn = func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
+	_, hs := testServer(t, Options{Workers: 1, Jobs: 1, Fault: faultFunc(func(int, func()) {
 		startOnce.Do(func() { close(started) })
 		select {
 		case <-gate:
 		case <-time.After(30 * time.Second):
 		}
-		return real(c, sp, tracer)
-	}
+	})})
 
 	b, _ := json.Marshal(smallSpec())
 	ctx, cancel := context.WithCancel(context.Background())
@@ -700,5 +694,252 @@ func TestServeMetricz(t *testing.T) {
 	}
 	if snap.Counters["serve.cells.computed"] != 1 {
 		t.Errorf("serve.cells.computed = %d, want 1", snap.Counters["serve.cells.computed"])
+	}
+}
+
+// waitInflight blocks until n callers wait on key's computation in the
+// default configuration's ledger.
+func waitInflight(t *testing.T, s *Server, key string, n int) {
+	t.Helper()
+	led, err := s.ledgerFor(1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for led.Inflight(key) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d jobs joined the computation of %s", led.Inflight(key), n, key)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeCellPanic: a cell whose computation panics fails the request
+// that computed it and every request coalesced onto it with a 500 — it
+// never takes the process down — and, errors never being memoized, an
+// identical retry computes and succeeds.
+func TestServeCellPanic(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	gate := make(chan struct{})
+	var once sync.Once
+	s, hs := testServer(t, Options{
+		Metrics: reg,
+		Obs:     telemetry.Observation{Metrics: reg}, // runner.* counts here, as under -metrics
+		Jobs:    2,
+		Rate:    1000,
+		Burst:   1000,
+		Fault: faultFunc(func(int, func()) {
+			once.Do(func() {
+				<-gate
+				panic("blown invariant")
+			})
+		}),
+	})
+	var wg sync.WaitGroup
+	statuses := make([]int, 2)
+	bodies := make([][]byte, 2)
+	for i := range statuses {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			statuses[i], bodies[i], _ = post(t, hs.URL, smallSpec())
+		}(i)
+	}
+	waitInflight(t, s, smallKey, 2)
+	close(gate)
+	wg.Wait()
+	for i, st := range statuses {
+		if st != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d (%s), want 500", i, st, bodies[i])
+		}
+		for _, want := range []string{smallKey, "panicked", "blown invariant"} {
+			if !strings.Contains(string(bodies[i]), want) {
+				t.Errorf("request %d: error %s lacks %q", i, bodies[i], want)
+			}
+		}
+	}
+	if got := reg.Snapshot().Counters["runner.panics"]; got != 1 {
+		t.Errorf("runner.panics = %d, want 1", got)
+	}
+
+	status, body, _ := post(t, hs.URL, smallSpec())
+	if status != http.StatusOK {
+		t.Fatalf("retry: status %d (%s)", status, body)
+	}
+	if r := decodeResult(t, body); r.Cells[0].Source != "computed" {
+		t.Errorf("retry source = %q, want computed", r.Cells[0].Source)
+	}
+}
+
+// TestServeStaleLedgerFormat: a ledger journaled in format 1, whose
+// cells had another shape, is retired as stale at open — it would
+// otherwise decode into an all-zero cell without error — and its cell
+// is simulated afresh.
+func TestServeStaleLedgerFormat(t *testing.T) {
+	dir := t.TempDir()
+	fp := ledgerFingerprint(1, 16)
+	cold, err := checkpoint.Open(checkpoint.Options{Dir: dir, Fingerprint: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]json.RawMessage{
+		smallKey: json.RawMessage(`{"decomposition":{"TP":1,"TI":2,"T":3},"counts":{"Insts":7}}`),
+	}
+	canon, err := json.Marshal(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(canon)
+	old, err := json.Marshal(map[string]any{"format": 1, "fingerprint": fp, "cells": cells, "sum": hex.EncodeToString(sum[:])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cold.Path(), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	_, hs := testServer(t, Options{Metrics: reg, CheckpointDir: dir})
+	status, body, _ := post(t, hs.URL, smallSpec())
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%s)", status, body)
+	}
+	if got := reg.Snapshot().Counters["checkpoint.stale"]; got != 1 {
+		t.Errorf("checkpoint.stale = %d, want 1", got)
+	}
+	c := decodeResult(t, body).Cells[0]
+	if c.Source != "computed" {
+		t.Errorf("source = %q, want computed", c.Source)
+	}
+	if d := c.Decomposition; d.T <= 3 || !(d.TP > 0 && d.TP <= d.TI && d.TI <= d.T) || c.Counts.Insts <= 7 {
+		t.Errorf("served the format-1 cell or a broken one: %+v, %d insts", d, c.Counts.Insts)
+	}
+}
+
+// TestServeSharesPerfectRuns: a one-benchmark A-F request simulates 15
+// programs' worth of instructions — one perfect run per distinct core
+// (A/B/C, D/E, F) plus each machine's infinite-bandwidth and full runs —
+// not 18, as it would with a perfect run per cell.
+func TestServeSharesPerfectRuns(t *testing.T) {
+	_, hs := testServer(t, Options{})
+	spec := Spec{Kind: "fig3", Suite: "92", Benchmarks: []string{"compress"}}
+	status, body, _ := post(t, hs.URL, spec)
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%s)", status, body)
+	}
+	r := decodeResult(t, body)
+	if len(r.Cells) != 6 || r.Stats.Computed != 6 {
+		t.Fatalf("%d cells, stats %+v; want 6 computed", len(r.Cells), r.Stats)
+	}
+	insts := r.Cells[0].Counts.Insts
+
+	resp, err := http.Get(hs.URL + "/v1/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ev heartbeatEvent
+	if err := json.NewDecoder(eventDataReader{resp.Body}).Decode(&ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.SimInsts != 15*insts {
+		t.Errorf("simInsts = %d, want 15 x %d = %d (18 x would be %d)", ev.SimInsts, insts, 15*insts, 18*insts)
+	}
+}
+
+// TestServeJournaledCellsNeedNoWorkload: a server started over a
+// populated checkpoint directory answers from the ledger without
+// generating a single workload.
+func TestServeJournaledCellsNeedNoWorkload(t *testing.T) {
+	dir := t.TempDir()
+	s1 := New(Options{Workers: 1, CheckpointDir: dir})
+	hs1 := httptest.NewServer(s1.Handler())
+	if status, body, _ := post(t, hs1.URL, smallSpec()); status != http.StatusOK {
+		t.Fatalf("first server: status %d (%s)", status, body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	hs1.Close()
+
+	reg := telemetry.NewRegistry()
+	_, hs2 := testServer(t, Options{
+		Metrics:       reg,
+		CheckpointDir: dir,
+		Corpus:        corpus.New(corpus.Options{Metrics: reg}),
+	})
+	status, body, _ := post(t, hs2.URL, smallSpec())
+	if status != http.StatusOK {
+		t.Fatalf("second server: status %d (%s)", status, body)
+	}
+	if r := decodeResult(t, body); r.Stats.Cached != 1 {
+		t.Errorf("second server stats: %+v, want 1 cached", r.Stats)
+	}
+	if got := reg.Snapshot().Counters["corpus.misses"]; got != 0 {
+		t.Errorf("corpus.misses = %d, want 0 (a journaled cell needs no workload)", got)
+	}
+}
+
+// TestServeTwin: a "twin" request at the model's own configuration is
+// answered with the surrogate's predictions; the same request at another
+// cacheScale is simulated.
+func TestServeTwin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration runs the full simulator grid")
+	}
+	m, err := twin.Calibrate(twin.CalibrateOptions{
+		Grids:      []twin.SuiteGrid{{Suite: workload.SPEC92, Benches: []string{"compress", "tomcatv"}}},
+		Scale:      1,
+		CacheScale: 16,
+		Pool:       runner.Config{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sur, err := twin.NewSurrogate(m, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	_, hs := testServer(t, Options{Metrics: reg, Twin: sur})
+
+	spec := Spec{Kind: "fig3", Suite: "92", Benchmarks: []string{"compress"}, Twin: true}
+	status, body, _ := post(t, hs.URL, spec)
+	if status != http.StatusOK {
+		t.Fatalf("status %d (%s)", status, body)
+	}
+	r := decodeResult(t, body)
+	if len(r.Cells) != 6 || r.Stats.Twin != 6 {
+		t.Fatalf("%d cells, stats %+v; want 6 twin", len(r.Cells), r.Stats)
+	}
+	for _, c := range r.Cells {
+		if c.Source != "twin" {
+			t.Errorf("%s: source %q, want twin", c.Key, c.Source)
+		}
+		pb, ok := sur.Predict(c.Key)
+		if !ok {
+			t.Fatalf("surrogate has no prediction for %s", c.Key)
+		}
+		var want core.DecomposeResult
+		if err := json.Unmarshal(pb, &want); err != nil {
+			t.Fatal(err)
+		}
+		if c.Decomposition != want.Decomposition || c.Counts != want.Full {
+			t.Errorf("%s: served %+v, surrogate predicts %+v", c.Key, c.Decomposition, want.Decomposition)
+		}
+	}
+	if got := reg.Snapshot().Counters["serve.twin.served"]; got != 6 {
+		t.Errorf("serve.twin.served = %d, want 6", got)
+	}
+
+	spec.CacheScale = 8
+	status, body, _ = post(t, hs.URL, spec)
+	if status != http.StatusOK {
+		t.Fatalf("other cacheScale: status %d (%s)", status, body)
+	}
+	if r := decodeResult(t, body); r.Stats.Computed != 6 || r.Stats.Twin != 0 {
+		t.Errorf("other cacheScale stats: %+v, want 6 computed", r.Stats)
 	}
 }

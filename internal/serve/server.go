@@ -12,10 +12,11 @@
 //     disconnected client or an expired deadline frees its workers at
 //     the next cell boundary instead of burning simulations on results
 //     nobody will read.
-//   - Identical sub-requests coalesce: the checkpoint ledger is
-//     promoted to a memoization tier (checkpoint.Flight), so N
-//     concurrent identical cells cost exactly one simulation, and
-//     retries after a timeout are free once the cell has landed.
+//   - Identical sub-requests coalesce: every request runs its grid
+//     through core.Grid.Run with the checkpoint ledger as the runner's
+//     store (checkpoint.Ledger.Do), so N concurrent identical cells cost
+//     exactly one simulation, and retries after a timeout are free once
+//     the cell has landed.
 //   - Graceful drain: Drain stops admitting, finishes (and journals)
 //     the in-flight and queued jobs, then flushes; a drain deadline
 //     force-cancels at cell boundaries and reports the forced exit.
@@ -76,9 +77,10 @@ type Options struct {
 	// Passing an injector-wrapped FS threads -fault-schedule through
 	// every persistence path the server touches.
 	FS faultinject.FS
-	// Fault, when non-nil, is the runner-level fault injector
-	// (deterministic worker kills and cancellation at cell starts).
-	Fault *faultinject.Injector
+	// Fault, when non-nil, is the runner-level fault seam
+	// (deterministic worker kills and cancellation at the top of every
+	// computed cell).
+	Fault runner.Fault
 	// Corpus shares trace materializations across jobs (nil: private
 	// entries per cell, identical code path).
 	Corpus *corpus.Corpus
@@ -89,13 +91,10 @@ type Options struct {
 	// reports).
 	Metrics *telemetry.Registry
 	// Twin, when non-nil, serves spec.Twin cells from the calibrated
-	// analytical model instead of simulating. TwinScale and
-	// TwinCacheScale pin the configuration the model was calibrated
-	// for; requests at any other (scale, cacheScale) fall back to
-	// simulation rather than serve mispredicted cells.
-	Twin           *twin.Surrogate
-	TwinScale      int
-	TwinCacheScale int
+	// analytical model instead of simulating. Requests at any (scale,
+	// cacheScale) other than the model's own fall back to simulation
+	// rather than serve mispredicted cells.
+	Twin *twin.Surrogate
 }
 
 // instruments bundles the server's telemetry.
@@ -156,9 +155,10 @@ type Server struct {
 	activeMu sync.Mutex
 	active   map[*job]context.CancelFunc
 
-	flightsMu sync.Mutex
-	flights   map[string]*checkpoint.Flight
-	ledgers   []*checkpoint.Ledger
+	// ledgers holds one memoizing ledger per (scale, cacheScale)
+	// configuration, keyed by its fingerprint.
+	ledgersMu sync.Mutex
+	ledgers   map[string]*checkpoint.Ledger
 
 	// progress accumulates simulated-work totals across every job for
 	// the SSE heartbeat (the writer is discarded; Totals is the API).
@@ -166,11 +166,6 @@ type Server struct {
 
 	drainOnce sync.Once
 	drained   chan struct{} // closed when drain completes
-
-	// computeFn is the cell-computation seam (defaults to computeCell).
-	// Tests substitute a gated compute to make coalescing assertions
-	// deterministic instead of timing-dependent.
-	computeFn func(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error)
 }
 
 // New builds a server from opts (zero values select the defaults
@@ -208,11 +203,10 @@ func New(opts Options) *Server {
 		bucket:   newBucket(opts.Rate, opts.Burst),
 		queue:    make(chan *job, opts.QueueDepth),
 		active:   map[*job]context.CancelFunc{},
-		flights:  map[string]*checkpoint.Flight{},
+		ledgers:  map[string]*checkpoint.Ledger{},
 		progress: telemetry.NewProgress(io.Discard, time.Hour),
 		drained:  make(chan struct{}),
 	}
-	s.computeFn = s.computeCell
 	for i := 0; i < opts.Jobs; i++ {
 		s.wg.Add(1)
 		go s.executor()
@@ -488,137 +482,79 @@ func (s *Server) jobObs() telemetry.Observation {
 	return o
 }
 
-// run executes a plan through the runner pool, serving each cell from
-// the twin (opt-in), the memoization tier, or a fresh simulation.
+// run executes a plan, one core.Grid per suite, each cell served by the
+// twin (opt-in), the configuration's ledger, or a fresh simulation.
 func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
-	fl, err := s.flightFor(p.spec.Scale, p.spec.CacheScale)
+	led, err := s.ledgerFor(p.spec.Scale, p.spec.CacheScale)
 	if err != nil {
 		return nil, err
 	}
-	type outCell struct {
-		Payload cellPayload
-		Source  string
+	pool := runner.Config{
+		Workers:    s.opts.Workers,
+		Obs:        s.jobObs(),
+		Checkpoint: led,
+		Fault:      s.opts.Fault,
 	}
-	var computed, cached, coalesced, twinServed atomic.Int64
-	cfg := runner.Config{
-		Workers: s.opts.Workers,
-		Obs:     s.jobObs(),
-		TaskName: func(i int) string {
-			c := p.cells[i]
-			return "serve:" + core.Figure3CellKey(c.suite, c.bench, c.exp)
-		},
-		Cells: &runner.CellStats{},
+	if p.spec.Twin && s.opts.Twin != nil && s.opts.Twin.Calibrated(p.spec.Scale, p.spec.CacheScale) {
+		pool.Twin = s.opts.Twin
 	}
-	if s.opts.Fault != nil {
-		cfg.Fault = s.opts.Fault
-	}
-	outs, err := runner.Map(ctx, cfg, len(p.cells), func(ctx context.Context, i int, tracer *telemetry.Tracer) (outCell, error) {
-		c := p.cells[i]
-		key := core.Figure3CellKey(c.suite, c.bench, c.exp)
-		if p.spec.Twin && s.opts.Twin != nil &&
-			p.spec.Scale == s.opts.TwinScale && p.spec.CacheScale == s.opts.TwinCacheScale {
-			if res, ok := s.opts.Twin.Cell(key); ok {
-				twinServed.Add(1)
-				s.m.twinServed.Inc()
-				return outCell{Payload: cellPayload{Decomposition: res.Decomposition, Counts: res.Full}, Source: "twin"}, nil
-			}
+	scale := p.spec.Scale
+	res := &Result{Kind: p.spec.Kind}
+	for _, g := range p.grids {
+		g.Program = func(bench string) (*workload.Program, error) {
+			return s.opts.Corpus.Get(bench, scale).Program()
 		}
-		b, src, err := fl.Do(ctx, key, func(cctx context.Context) ([]byte, error) {
-			if cerr := cctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			return s.computeFn(c, p.spec, tracer)
-		})
+		pool.Cells = &runner.CellStats{}
+		out, err := g.Run(ctx, pool)
+		sum := pool.Cells.Summary()
+		s.m.cellsComputed.Add(int64(sum.Computed))
+		s.m.cellsCached.Add(int64(sum.Cached))
+		s.m.coalesced.Add(int64(sum.Coalesced))
+		s.m.twinServed.Add(int64(sum.Twin))
+		res.Stats.add(sum)
 		if err != nil {
-			return outCell{}, err
+			return nil, err
 		}
-		var pay cellPayload
-		if jerr := json.Unmarshal(b, &pay); jerr != nil {
-			return outCell{}, fmt.Errorf("decoding cell %s: %w", key, jerr)
+		// Results and records are both in grid order: benchmark-major,
+		// machine-minor.
+		recs := pool.Cells.Records()
+		i := 0
+		for _, bench := range g.Benches {
+			for _, m := range g.Machines {
+				res.Cells = append(res.Cells, CellResult{
+					Key:           core.Figure3CellKey(g.Suite, bench, m.Name),
+					Suite:         g.Suite.String(),
+					Benchmark:     bench,
+					Experiment:    m.Name,
+					Decomposition: out[i].Decomposition,
+					Counts:        out[i].Full,
+					Source:        string(recs[i].Source),
+				})
+				i++
+			}
 		}
-		switch src {
-		case checkpoint.SourceComputed:
-			computed.Add(1)
-			s.m.cellsComputed.Inc()
-		case checkpoint.SourceCached:
-			cached.Add(1)
-			s.m.cellsCached.Inc()
-		case checkpoint.SourceCoalesced:
-			coalesced.Add(1) // serve.coalesced increments inside the Flight
-		}
-		return outCell{Payload: pay, Source: src.String()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{Kind: p.spec.Kind, Cells: make([]CellResult, len(outs))}
-	for i, o := range outs {
-		c := p.cells[i]
-		res.Cells[i] = CellResult{
-			Key:           core.Figure3CellKey(c.suite, c.bench, c.exp),
-			Suite:         c.suite.String(),
-			Benchmark:     c.bench,
-			Experiment:    c.exp,
-			Decomposition: o.Payload.Decomposition,
-			Counts:        o.Payload.Counts,
-			Source:        o.Source,
-		}
-	}
-	sum := cfg.Cells.Summary()
-	res.Stats = JobStats{
-		Cells:           len(outs),
-		Computed:        int(computed.Load()),
-		Cached:          int(cached.Load()),
-		Coalesced:       int(coalesced.Load()),
-		Twin:            int(twinServed.Load()),
-		WallSeconds:     sum.WallSeconds,
-		MaxQueueSeconds: sum.MaxQueueSeconds,
 	}
 	return res, nil
 }
 
-// computeCell runs the three-simulation decomposition for one cell and
-// returns its journaled payload (deterministic outputs only).
-func (s *Server) computeCell(c cell, sp Spec, tracer *telemetry.Tracer) ([]byte, error) {
-	prog, err := s.opts.Corpus.Get(c.bench, sp.Scale).Program()
-	if err != nil {
-		return nil, err
+// ledgerFor returns the ledger for one (scale, cacheScale)
+// configuration, opening it on first use: resumable on disk under
+// CheckpointDir, else memory-only. The fingerprint is the serve
+// manifest's — shared by every request kind, so a table6 cell coalesces
+// with (and resumes from) the matching fig3 cell.
+func (s *Server) ledgerFor(scale, cacheScale int) (*checkpoint.Ledger, error) {
+	fp := ledgerFingerprint(scale, cacheScale)
+	s.ledgersMu.Lock()
+	defer s.ledgersMu.Unlock()
+	if l, ok := s.ledgers[fp]; ok {
+		return l, nil
 	}
-	m, err := core.MachineByName(c.suite, c.exp, sp.CacheScale)
-	if err != nil {
-		return nil, err
-	}
-	obs := s.jobObs()
-	obs.Tracer = tracer
-	m.Obs = obs
-	// Per-compute stream: the core.Decompose ownership rule.
-	res, err := core.Decompose(m, prog.Stream())
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(cellPayload{Decomposition: res.Decomposition, Counts: res.Full})
-}
-
-// flightFor returns the memoization tier for one (scale, cacheScale)
-// configuration, opening its ledger on first use. The fingerprint is
-// the serve manifest's — shared by every request kind, so a table6
-// cell coalesces with (and resumes from) the matching fig3 cell.
-func (s *Server) flightFor(scale, cacheScale int) (*checkpoint.Flight, error) {
-	man := telemetry.NewManifest("memwall", "serve", nil)
-	man.Seed = workload.BaseSeed
-	man.Scale = scale
-	man.CacheScale = cacheScale
-	fp := man.Fingerprint()
-
-	s.flightsMu.Lock()
-	defer s.flightsMu.Unlock()
-	if f, ok := s.flights[fp]; ok {
-		return f, nil
-	}
-	var led *checkpoint.Ledger
-	if s.opts.CheckpointDir != "" {
-		l, err := checkpoint.Open(checkpoint.Options{
+	var l *checkpoint.Ledger
+	if s.opts.CheckpointDir == "" {
+		l = checkpoint.NewMemory()
+	} else {
+		var err error
+		l, err = checkpoint.Open(checkpoint.Options{
 			Dir:         s.opts.CheckpointDir,
 			Fingerprint: fp,
 			Resume:      true, // the ledger IS the memo tier here
@@ -628,19 +564,26 @@ func (s *Server) flightFor(scale, cacheScale int) (*checkpoint.Flight, error) {
 		if err != nil {
 			return nil, err
 		}
-		led = l
-		s.ledgers = append(s.ledgers, l)
 	}
-	f := checkpoint.NewFlight(led, s.m.coalesced)
-	s.flights[fp] = f
-	return f, nil
+	s.ledgers[fp] = l
+	return l, nil
+}
+
+// ledgerFingerprint is the serve manifest fingerprint of one (scale,
+// cacheScale) configuration.
+func ledgerFingerprint(scale, cacheScale int) string {
+	man := telemetry.NewManifest("memwall", "serve", nil)
+	man.Seed = workload.BaseSeed
+	man.Scale = scale
+	man.CacheScale = cacheScale
+	return man.Fingerprint()
 }
 
 // Corruptions sums corrupt-ledger detections across every ledger the
 // server opened (for the CLI's exit-code taxonomy).
 func (s *Server) Corruptions() int64 {
-	s.flightsMu.Lock()
-	defer s.flightsMu.Unlock()
+	s.ledgersMu.Lock()
+	defer s.ledgersMu.Unlock()
 	var n int64
 	for _, l := range s.ledgers {
 		n += l.Corruptions()
@@ -690,11 +633,11 @@ func (s *Server) drain(ctx context.Context) error {
 		<-done
 	}
 
-	s.flightsMu.Lock()
+	s.ledgersMu.Lock()
 	for _, l := range s.ledgers {
 		l.Close()
 	}
-	s.flightsMu.Unlock()
+	s.ledgersMu.Unlock()
 	s.m.drainSeconds.Set(time.Since(start).Seconds())
 	close(s.drained)
 	return forced

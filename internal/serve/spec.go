@@ -8,6 +8,7 @@ import (
 
 	"memwall/internal/core"
 	"memwall/internal/cpu"
+	"memwall/internal/runner"
 	"memwall/internal/twin"
 	"memwall/internal/workload"
 )
@@ -42,17 +43,11 @@ type Spec struct {
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
 }
 
-// cell is one planned (suite, benchmark, experiment) simulation.
-type cell struct {
-	suite workload.Suite
-	bench string
-	exp   string
-}
-
-// plan is a validated spec expanded into its deterministic cell list.
+// plan is a validated spec expanded into its deterministic grids, one
+// per suite: the suite's benchmarks × the spec's experiments.
 type plan struct {
 	spec    Spec
-	cells   []cell
+	grids   []core.Grid
 	timeout time.Duration
 }
 
@@ -73,8 +68,9 @@ func parseSuites(name string) ([]workload.Suite, error) {
 	}
 }
 
-// newPlan validates a spec and expands it into cells, in the stable
-// (suite, benchmark, experiment) nesting order every grid command uses.
+// newPlan validates a spec and expands it into grids, whose cells run in
+// the stable (suite, benchmark, experiment) nesting order every grid
+// command uses.
 // Validation errors are client errors (HTTP 400).
 func newPlan(s Spec, defaultTimeout time.Duration) (*plan, error) {
 	switch s.Kind {
@@ -143,26 +139,26 @@ func newPlan(s Spec, defaultTimeout time.Duration) (*plan, error) {
 				}
 			}
 		}
-		for _, b := range benches {
-			for _, e := range exps {
-				p.cells = append(p.cells, cell{suite: suite, bench: b, exp: e})
+		machines := make([]core.Machine, len(exps))
+		for i, e := range exps {
+			if machines[i], err = core.MachineByName(suite, e, s.CacheScale); err != nil {
+				return nil, err
 			}
 		}
+		// Every kind journals under fig3 keys, so a table6 cell is the
+		// fig3 cell of the same suite, benchmark and machine.
+		p.grids = append(p.grids, core.Grid{
+			Suite:    suite,
+			Benches:  benches,
+			Machines: machines,
+			Span:     "serve:fig3:" + suite.String(),
+			Key:      "fig3",
+		})
 	}
-	if len(p.cells) == 0 {
+	if len(p.grids) == 0 {
 		return nil, fmt.Errorf("spec selects no cells")
 	}
 	return p, nil
-}
-
-// cellPayload is the journaled (and served) shape of one cell: the
-// deterministic simulation outputs only. Host wall times (PhaseWall)
-// are deliberately excluded — a ledger-served cell would otherwise
-// return the wall time of whichever run computed it, breaking the
-// byte-identical-responses guarantee.
-type cellPayload struct {
-	Decomposition core.Decomposition `json:"decomposition"`
-	Counts        cpu.Result         `json:"counts"`
 }
 
 // CellResult is one cell of a job response.
@@ -185,6 +181,10 @@ type CellResult struct {
 // JobStats is the per-job accounting the response carries alongside its
 // cells. Everything here is observability — host timing and cache
 // attribution — and never part of the deterministic cell payloads.
+// Decomposition and Counts in each CellResult are the only simulated
+// outputs a response carries: a journaled cell also holds its host wall
+// times (core.PhaseWall), which would differ between the run that
+// computed it and one that serves it.
 type JobStats struct {
 	Cells           int     `json:"cells"`
 	Computed        int     `json:"computed"`
@@ -193,6 +193,17 @@ type JobStats struct {
 	Twin            int     `json:"twin"`
 	WallSeconds     float64 `json:"wallSeconds"`
 	MaxQueueSeconds float64 `json:"maxQueueSeconds"`
+}
+
+// add folds one grid's runner accounting into the job's.
+func (st *JobStats) add(sum runner.Summary) {
+	st.Cells += sum.Cells
+	st.Computed += sum.Computed
+	st.Cached += sum.Cached
+	st.Coalesced += sum.Coalesced
+	st.Twin += sum.Twin
+	st.WallSeconds += sum.WallSeconds
+	st.MaxQueueSeconds = max(st.MaxQueueSeconds, sum.MaxQueueSeconds)
 }
 
 // Result is a completed job's response body.

@@ -31,18 +31,18 @@ const DefaultSampleEvery = 6
 // so a Surrogate is safe for concurrent use by pool workers.
 type Surrogate struct {
 	sampleEvery int
-	cells       map[string]surrogateCell
-	predicted   *telemetry.Counter
-	validated   *telemetry.Counter
-	maxErr      *telemetry.Gauge
+	// scale and cacheScale are the configuration the model was
+	// calibrated at; its predictions hold there only.
+	scale, cacheScale int
+	cells             map[string]surrogateCell
+	predicted         *telemetry.Counter
+	validated         *telemetry.Counter
+	maxErr            *telemetry.Gauge
 }
 
 type surrogateCell struct {
 	// pred is the JSON-encoded core.DecomposeResult the twin serves.
 	pred []byte
-	// res is the decoded form, for callers that want the value directly
-	// (table sweeps) rather than through the runner seam.
-	res core.DecomposeResult
 	// t is the unrounded predicted execution time; bound is the
 	// workload's calibrated relative-error bound.
 	t     float64
@@ -60,6 +60,8 @@ func NewSurrogate(m *Model, sampleEvery int, metrics *telemetry.Registry) (*Surr
 	}
 	s := &Surrogate{
 		sampleEvery: sampleEvery,
+		scale:       m.Scale,
+		cacheScale:  m.CacheScale,
 		cells:       make(map[string]surrogateCell),
 		predicted:   metrics.Counter("twin.predicted"),
 		validated:   metrics.Counter("twin.validated"),
@@ -77,13 +79,12 @@ func NewSurrogate(m *Model, sampleEvery int, metrics *telemetry.Registry) (*Surr
 				return nil, fmt.Errorf("twin: model for %s/%s cannot predict machine %s (missing block grain %d/%d)",
 					w.Suite, w.Name, mach.Name, pt.L1Block, pt.L2Block)
 			}
-			res := w.Result(p)
-			b, err := json.Marshal(res)
+			b, err := json.Marshal(w.Result(p))
 			if err != nil {
 				return nil, fmt.Errorf("twin: encoding prediction for %s/%s/%s: %w", w.Suite, w.Name, mach.Name, err)
 			}
 			key := core.Figure3CellKey(suite, w.Name, mach.Name)
-			s.cells[key] = surrogateCell{pred: b, res: res, t: p.T, bound: w.ErrBound}
+			s.cells[key] = surrogateCell{pred: b, t: p.T, bound: w.ErrBound}
 		}
 	}
 	if len(s.cells) == 0 {
@@ -142,11 +143,11 @@ func (s *Surrogate) Validate(key string, _, computed []byte) error {
 	return nil
 }
 
-// Cell returns the twin's prediction for one grid cell, for sweeps that
-// consume results directly rather than through a runner pool.
-func (s *Surrogate) Cell(key string) (core.DecomposeResult, bool) {
-	c, ok := s.lookup(key)
-	return c.res, ok
+// Calibrated reports whether the model was calibrated at (scale,
+// cacheScale): a grid at any other configuration must be simulated, not
+// predicted.
+func (s *Surrogate) Calibrated(scale, cacheScale int) bool {
+	return scale == s.scale && cacheScale == s.cacheScale
 }
 
 // Result converts a prediction into the simulator's result shape, with

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"memwall/internal/core"
 	"memwall/internal/corpus"
 	"memwall/internal/runner"
 	"memwall/internal/telemetry"
@@ -274,7 +275,10 @@ func TestSurrogate(t *testing.T) {
 		t.Errorf("self-validation failed: %v", err)
 	}
 	// Ground truth far outside the bound must fail loudly.
-	res, _ := s.Cell(key)
+	var res core.DecomposeResult
+	if err := json.Unmarshal(pb, &res); err != nil {
+		t.Fatal(err)
+	}
 	res.T *= 10
 	res.TI = res.T
 	far, _ := json.Marshal(res)
