@@ -6,7 +6,8 @@
 // reference traces, so they draw the traces from the run-wide corpus:
 // each benchmark materializes once, every configuration replays the
 // shared slice (core.*Refs fast paths), and every MTC configuration
-// replays against the trace's shared future table.
+// replays against the trace's shared future table. Tables 7-9 and
+// Figure 4 run their cells on the -j worker pool.
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"memwall/internal/tablefmt"
 	"memwall/internal/telemetry"
 	"memwall/internal/trace"
+	"memwall/internal/units"
 	"memwall/internal/workload"
 )
 
@@ -63,19 +65,45 @@ func runTable3(env *env, args []string) error {
 	return nil
 }
 
-// spec92Traces materializes the SPEC92 surrogate traces used by the
-// traffic studies (the paper runs Tables 7-9 on SPEC92 only) and returns
-// their corpus entries, keyed by benchmark.
-func (env *env) spec92Traces(scale int) (map[string]*corpus.Entry, error) {
-	entries := make(map[string]*corpus.Entry)
-	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := env.corpus.Get(name, scale)
-		if _, err := e.Refs(); err != nil {
+// traces takes one corpus entry per benchmark and materializes them over
+// workers: the reference slices, plus the future tables at blocks. The
+// entries are taken here, once, and handed to every grid cell of their
+// benchmark: with a nil (disabled) corpus each Get returns a fresh private
+// entry, so a cell that called Get itself would regenerate the trace.
+func (env *env) traces(names []string, scale, workers int, blocks ...int) ([]core.TraceBench, error) {
+	entries := make([]*corpus.Entry, len(names))
+	benches := make([]core.TraceBench, len(names))
+	for i, name := range names {
+		entries[i] = env.corpus.Get(name, scale)
+		benches[i] = core.TraceBench{Name: name, Trace: entries[i]}
+	}
+	pool := runner.Config{Workers: workers, Obs: env.obs}
+	if err := core.Materialize(context.Background(), pool, benches, blocks...); err != nil {
+		return nil, err
+	}
+	for i, e := range entries {
+		meta, err := e.Meta()
+		if err != nil {
 			return nil, err
 		}
-		entries[name] = e
+		benches[i].DataSetBytes = meta.DataSetBytes
 	}
-	return entries, nil
+	return benches, nil
+}
+
+// spec92Traces is traces over the SPEC92 surrogates, the suite the paper
+// runs Tables 7-9 on.
+func (env *env) spec92Traces(scale, workers int, blocks ...int) ([]core.TraceBench, error) {
+	return env.traces(workload.SuiteNames(workload.SPEC92), scale, workers, blocks...)
+}
+
+// sizeHeader is the column header row of the size-swept tables.
+func sizeHeader(first string) []string {
+	header := []string{first}
+	for _, sz := range cacheSizes {
+		header = append(header, tablefmt.Bytes(int64(sz)))
+	}
+	return header
 }
 
 func runTable7(env *env, args []string) error {
@@ -85,55 +113,24 @@ func runTable7(env *env, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := env.spec92Traces(*scale)
+	benches, err := env.spec92Traces(*scale, *workers)
 	if err != nil {
 		return err
 	}
-	header := []string{"Trace"}
-	for _, sz := range cacheSizes {
-		header = append(header, tablefmt.Bytes(int64(sz)))
-	}
-	t := tablefmt.New("Table 7: traffic ratios for 32-byte block, direct-mapped caches", header...)
-	// One task per benchmark: each walks the full size ladder so a
-	// checkpointed cell is a complete table row. Exported field: the row
-	// must survive the ledger's JSON round-trip.
-	names := workload.SuiteNames(workload.SPEC92)
-	type trafficRow struct {
-		Cells []core.RatioResult
-	}
-	rows, err := runner.Map(context.Background(), env.gridPool(*workers, func(i int) string {
-		return "table7:" + names[i]
-	}), len(names), func(ctx context.Context, i int, _ *telemetry.Tracer) (trafficRow, error) {
-		e := entries[names[i]]
-		meta, err := e.Meta()
-		if err != nil {
-			return trafficRow{}, err
-		}
-		var row trafficRow
-		for _, sz := range cacheSizes {
-			cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-			res, err := core.MeasureRatioRefs(cfg, e, meta.DataSetBytes)
-			if err != nil {
-				return trafficRow{}, err
-			}
-			row.Cells = append(row.Cells, res)
-		}
-		return row, nil
-	})
+	rows, err := core.RatioGrid(context.Background(), env.gridPool(*workers, nil), "table7", benches, cacheSizes)
 	if err != nil {
 		return err
 	}
+	t := tablefmt.New("Table 7: traffic ratios for 32-byte block, direct-mapped caches", sizeHeader("Trace")...)
 	// Render — and publish the per-configuration counters — from the
 	// ordered results, outside the pool: a resumed run serves rows from
 	// the ledger without re-simulating, and publishing here keeps its
 	// metrics identical to an uninterrupted run's.
-	results := map[string][]core.RatioResult{}
-	for i, name := range names {
-		row := []string{name}
-		for j, res := range rows[i].Cells {
+	for i, b := range benches {
+		row := []string{b.Name}
+		for j, res := range rows[i] {
 			res.Stats.Publish(env.obs.Metrics,
-				fmt.Sprintf("cache.%s.%s", name, tablefmt.Bytes(int64(cacheSizes[j]))))
-			results[name] = append(results[name], res)
+				fmt.Sprintf("cache.%s.%s", b.Name, tablefmt.Bytes(int64(cacheSizes[j]))))
 			if res.FitsDataSet {
 				row = append(row, "<<<")
 			} else {
@@ -150,16 +147,12 @@ func runTable7(env *env, args []string) error {
 	// processor by about half": mean 0.51).
 	var sum float64
 	var n int
-	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		meta, err := entries[name].Meta()
-		if err != nil {
-			return err
-		}
-		for i, sz := range cacheSizes {
-			if sz < 64<<10 || int64(sz) >= meta.DataSetBytes {
+	for i, b := range benches {
+		for j, sz := range cacheSizes {
+			if sz < 64<<10 || int64(sz) >= b.DataSetBytes {
 				continue
 			}
-			sum += results[name][i].R
+			sum += rows[i][j].R
 			n++
 		}
 	}
@@ -173,31 +166,22 @@ func runTable7(env *env, args []string) error {
 func runTable8(env *env, args []string) error {
 	fs := flag.NewFlagSet("table8", flag.ContinueOnError)
 	scale := scaleFlag(fs)
+	workers := workersFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := env.spec92Traces(*scale)
+	benches, err := env.spec92Traces(*scale, *workers, trace.WordSize)
 	if err != nil {
 		return err
 	}
-	header := []string{"Trace"}
-	for _, sz := range cacheSizes {
-		header = append(header, tablefmt.Bytes(int64(sz)))
+	rows, err := core.InefficiencyGrid(context.Background(), env.gridPool(*workers, nil), "table8", benches, cacheSizes)
+	if err != nil {
+		return err
 	}
-	t := tablefmt.New("Table 8: traffic inefficiencies for 32-byte block, direct-mapped caches", header...)
-	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := entries[name]
-		meta, err := e.Meta()
-		if err != nil {
-			return err
-		}
-		row := []string{name}
-		for _, sz := range cacheSizes {
-			cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-			res, err := core.MeasureInefficiencyRefs(cfg, e, meta.DataSetBytes)
-			if err != nil {
-				return err
-			}
+	t := tablefmt.New("Table 8: traffic inefficiencies for 32-byte block, direct-mapped caches", sizeHeader("Trace")...)
+	for i, b := range benches {
+		row := []string{b.Name}
+		for _, res := range rows[i] {
 			if res.FitsDataSet {
 				row = append(row, "<<<")
 			} else {
@@ -210,79 +194,128 @@ func runTable8(env *env, args []string) error {
 	return nil
 }
 
+// fig4Curve is one curve of Figure 4: a 4-way cache of one block size, or
+// a word-grain MTC of one allocation policy.
+type fig4Curve struct {
+	label string
+	key   string
+	// blockSize is the cache block size; 0 selects the MTC.
+	blockSize int
+	alloc     mtc.AllocPolicy
+}
+
+// fig4Curves are Figure 4's rows, in print order.
+var fig4Curves = func() []fig4Curve {
+	var cs []fig4Curve
+	for _, bs := range []int{4, 8, 16, 32, 64, 128} {
+		cs = append(cs, fig4Curve{label: fmt.Sprintf("4-way %dB blocks", bs), key: fmt.Sprintf("cache%dB", bs), blockSize: bs})
+	}
+	return append(cs,
+		fig4Curve{label: "MTC write-allocate", key: "mtc-wa", alloc: mtc.WriteAllocate},
+		fig4Curve{label: "MTC write-validate", key: "mtc-wv", alloc: mtc.WriteValidate})
+}()
+
+// simulates reports whether the curve has a point at size bytes: a cache
+// needs at least eight blocks (the table prints "-" below that).
+func (c fig4Curve) simulates(size int) bool { return c.blockSize == 0 || size >= c.blockSize*8 }
+
+// traffic replays one benchmark's trace through the curve's cache or MTC
+// of size bytes and returns the traffic below it.
+func (c fig4Curve) traffic(tr core.RefTrace, size int) (units.Bytes, error) {
+	refs, err := tr.Refs()
+	if err != nil {
+		return 0, err
+	}
+	if c.blockSize > 0 {
+		cc, err := cache.New(cache.Config{Size: size, BlockSize: c.blockSize, Assoc: 4})
+		if err != nil {
+			return 0, err
+		}
+		return cc.RunRefs(refs).TrafficBytes(), nil
+	}
+	// One word-grain future table serves every MTC size and policy.
+	fut, err := tr.Future(trace.WordSize)
+	if err != nil {
+		return 0, err
+	}
+	st, err := mtc.SimulateRefs(mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: c.alloc}, fut, refs)
+	if err != nil {
+		return 0, err
+	}
+	return st.TrafficBytes(), nil
+}
+
 func runFig4(env *env, args []string) error {
 	fs := flag.NewFlagSet("fig4", flag.ContinueOnError)
 	scale := scaleFlag(fs)
+	workers := workersFlag(fs)
 	benchList := fs.String("bench", "compress,eqntott,swm", "comma-separated benchmarks to plot")
 	plot := fs.Bool("plot", true, "render ASCII plots")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	blockSizes := []int{4, 8, 16, 32, 64, 128}
+	var names []string
 	for _, name := range strings.Split(*benchList, ",") {
-		name = strings.TrimSpace(name)
-		e := env.corpus.Get(name, *scale)
-		refs, err := e.Refs()
-		if err != nil {
-			return err
+		names = append(names, strings.TrimSpace(name))
+	}
+	benches, err := env.traces(names, *scale, *workers, trace.WordSize)
+	if err != nil {
+		return err
+	}
+	// One task per plotted point, benchmark-major, then curve, then size.
+	type cell struct{ bench, curve, size int }
+	var tasks []cell
+	for b := range benches {
+		for c, curve := range fig4Curves {
+			for s, sz := range cacheSizes {
+				if curve.simulates(sz) {
+					tasks = append(tasks, cell{b, c, s})
+				}
+			}
 		}
-		header := []string{"config"}
-		for _, sz := range cacheSizes {
-			header = append(header, tablefmt.Bytes(int64(sz)))
-		}
-		t := tablefmt.New(fmt.Sprintf("Figure 4 (%s): total traffic (KB) by cache/MTC size", name), header...)
+	}
+	name := func(i int) string {
+		t := tasks[i]
+		return "fig4:" + benches[t.bench].Name + "/" + fig4Curves[t.curve].key + "/" + tablefmt.Bytes(int64(cacheSizes[t.size]))
+	}
+	res, err := runner.Map(context.Background(), env.gridPool(*workers, name), len(tasks),
+		func(ctx context.Context, i int, _ *telemetry.Tracer) (units.Bytes, error) {
+			t := tasks[i]
+			return fig4Curves[t.curve].traffic(benches[t.bench].Trace, cacheSizes[t.size])
+		})
+	if err != nil {
+		return err
+	}
+	traffic := make(map[cell]units.Bytes, len(tasks))
+	for i, t := range tasks {
+		traffic[t] = res[i]
+	}
+	for b, bench := range benches {
+		t := tablefmt.New(fmt.Sprintf("Figure 4 (%s): total traffic (KB) by cache/MTC size", bench.Name), sizeHeader("config")...)
 		pl := tablefmt.Plot{
-			Title:  fmt.Sprintf("Figure 4 (%s): traffic vs size, log-log", name),
+			Title:  fmt.Sprintf("Figure 4 (%s): traffic vs size, log-log", bench.Name),
 			XLabel: "bytes", LogX: true, LogY: true, Height: 16,
 		}
-		for _, bs := range blockSizes {
-			row := []string{fmt.Sprintf("4-way %dB blocks", bs)}
+		for c, curve := range fig4Curves {
+			row := []string{curve.label}
 			var xs, ys []float64
-			for _, sz := range cacheSizes {
-				if sz < bs*8 {
+			for s, sz := range cacheSizes {
+				tb, ok := traffic[cell{b, c, s}]
+				if !ok {
 					row = append(row, "-")
 					continue
 				}
-				cfg := cache.Config{Size: sz, BlockSize: bs, Assoc: 4}
-				c, err := cache.New(cfg)
-				if err != nil {
-					return err
-				}
-				st := c.RunRefs(refs)
-				kb := float64(st.TrafficBytes()) / 1024
+				kb := float64(tb) / 1024
 				row = append(row, fmt.Sprintf("%.0f", kb))
 				xs = append(xs, float64(sz))
 				ys = append(ys, kb)
 			}
 			t.AddRow(row...)
-			pl.Add(tablefmt.Series{Name: fmt.Sprintf("%dB blocks", bs), X: xs, Y: ys})
-		}
-		for _, m := range []struct {
-			label string
-			alloc mtc.AllocPolicy
-		}{
-			{"MTC write-allocate", mtc.WriteAllocate},
-			{"MTC write-validate", mtc.WriteValidate},
-		} {
-			row := []string{m.label}
-			var xs, ys []float64
-			// One word-grain future table serves all 12 sizes × 2 policies.
-			fut, err := e.Future(trace.WordSize)
-			if err != nil {
-				return err
+			series := curve.label
+			if curve.blockSize > 0 {
+				series = fmt.Sprintf("%dB blocks", curve.blockSize)
 			}
-			for _, sz := range cacheSizes {
-				st, err := mtc.SimulateRefs(mtc.Config{Size: sz, BlockSize: trace.WordSize, Alloc: m.alloc}, fut, refs)
-				if err != nil {
-					return err
-				}
-				kb := float64(st.TrafficBytes()) / 1024
-				row = append(row, fmt.Sprintf("%.0f", kb))
-				xs = append(xs, float64(sz))
-				ys = append(ys, kb)
-			}
-			t.AddRow(row...)
-			pl.Add(tablefmt.Series{Name: m.label, X: xs, Y: ys})
+			pl.Add(tablefmt.Series{Name: series, X: xs, Y: ys})
 		}
 		fmt.Println(t)
 		if *plot {
@@ -295,16 +328,22 @@ func runFig4(env *env, args []string) error {
 func runTable9(env *env, args []string) error {
 	fs := flag.NewFlagSet("table9", flag.ContinueOnError)
 	scale := scaleFlag(fs)
+	workers := workersFlag(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := env.spec92Traces(*scale)
+	benches, err := env.spec92Traces(*scale, *workers, trace.WordSize, 32)
 	if err != nil {
 		return err
 	}
-	names := workload.SuiteNames(workload.SPEC92)
+	cols, err := core.FactorGrid(context.Background(), env.gridPool(*workers, nil), "table9", benches)
+	if err != nil {
+		return err
+	}
 	header := []string{"Factor"}
-	header = append(header, names...)
+	for _, b := range benches {
+		header = append(header, b.Name)
+	}
 	t := tablefmt.New("Table 9: inefficiency gap for different optimizations (64KB caches; 16KB espresso)", header...)
 	// Print the experiment-pair legend (Table 10) first.
 	legend := tablefmt.New("Table 10: experimental parameters",
@@ -316,17 +355,8 @@ func runTable9(env *env, args []string) error {
 		rows[i] = []string{spec.Name}
 	}
 	fmt.Println(legend)
-
-	for _, name := range names {
-		size := 64 << 10
-		if name == "espresso" {
-			size = 16 << 10 // the paper shrinks espresso's cache to fit its data set
-		}
-		_, res, err := core.MeasureFactors(size, entries[name])
-		if err != nil {
-			return err
-		}
-		for i, r := range res {
+	for _, col := range cols {
+		for i, r := range col {
 			rows[i] = append(rows[i], fmt.Sprintf("%.1f", r.DeltaG))
 		}
 	}
@@ -346,25 +376,21 @@ func runEpin(env *env, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	entries, err := env.spec92Traces(*scale)
+	benches, err := env.spec92Traces(*scale, 0, trace.WordSize)
 	if err != nil {
 		return err
 	}
 	t := tablefmt.New(fmt.Sprintf("Effective pin bandwidth, %dKB on-chip cache, B_pin=%.0f MB/s", *size, *pinBW),
 		"Benchmark", "R", "E_pin (MB/s)", "G", "OE_pin (MB/s)")
 	var rs, gs []float64
-	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := entries[name]
-		meta, err := e.Meta()
-		if err != nil {
-			return err
-		}
+	for _, b := range benches {
+		name, e := b.Name, b.Trace
 		cfg := cache.Config{Size: *size << 10, BlockSize: 32, Assoc: 1}
-		rr, err := core.MeasureRatioRefs(cfg, e, meta.DataSetBytes)
+		rr, err := core.MeasureRatioRefs(cfg, e, b.DataSetBytes)
 		if err != nil {
 			return err
 		}
-		ir, err := core.MeasureInefficiencyRefs(cfg, e, meta.DataSetBytes)
+		ir, err := core.MeasureInefficiencyRefs(cfg, e, b.DataSetBytes)
 		if err != nil {
 			return err
 		}
@@ -381,11 +407,11 @@ func runEpin(env *env, args []string) error {
 			if err != nil {
 				return err
 			}
-			s, err := e.Stream()
+			refs, err := e.Refs()
 			if err != nil {
 				return err
 			}
-			ratios = hier.Run(s)
+			ratios = hier.Run(trace.NewSliceStream(refs))
 		}
 		epin := core.EffectivePinBandwidth(*pinBW, ratios...)
 		oepin := core.OptimalEffectivePinBandwidth(*pinBW, []float64{ir.G}, []float64{rr.R})

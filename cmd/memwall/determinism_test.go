@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"memwall/internal/core"
+	"memwall/internal/corpus"
 	"memwall/internal/workload"
 )
 
@@ -65,6 +66,50 @@ func TestFig3ParallelDeterminism(t *testing.T) {
 	parallel := capture(t, func() error { return runFig3(&env{}, []string{"-suite", "92", "-j", "8"}) })
 	if serial != parallel {
 		t.Errorf("fig3 output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", serial, parallel)
+	}
+}
+
+// TestTrafficParallelDeterminism requires the trace-driven sweeps to be
+// byte-identical between -j 1 and -j 8, with a shared corpus and with
+// the disabled (nil) one, whose every Get is a fresh private entry.
+func TestTrafficParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeats every traffic sweep four times")
+	}
+	envs := []struct {
+		name string
+		make func() *env
+	}{
+		{"corpus", func() *env { return withCorpus(corpus.Options{}) }},
+		{"nil corpus", func() *env { return &env{} }},
+	}
+	for _, c := range []struct {
+		name string
+		run  func(*env, []string) error
+		args []string
+	}{
+		{"table7", runTable7, nil},
+		{"table8", runTable8, nil},
+		{"table9", runTable9, nil},
+		{"fig4", runFig4, []string{"-bench", "espresso"}},
+	} {
+		for _, e := range envs {
+			args := func(j string) []string { return append(append([]string(nil), c.args...), "-j", j) }
+			serial := capture(t, func() error { return c.run(e.make(), args("1")) })
+			parallel := capture(t, func() error { return c.run(e.make(), args("8")) })
+			if serial != parallel {
+				t.Errorf("%s (%s) output differs between -j 1 and -j 8:\n serial:\n%s\n parallel:\n%s", c.name, e.name, serial, parallel)
+			}
+		}
+	}
+}
+
+// TestExportParallelDeterminism pins report.Collect, which runs Tables 7-9
+// through the same grids as the CLI, to the committed JSON at -j 1 and
+// -j 8.
+func TestExportParallelDeterminism(t *testing.T) {
+	for _, j := range []string{"1", "8"} {
+		diffGolden(t, capture(t, func() error { return runExport(&env{}, []string{"-notiming", "-j", j}) }), "export_notiming.golden")
 	}
 }
 

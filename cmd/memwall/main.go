@@ -31,8 +31,8 @@
 //
 // Every command also accepts the global observability flags -metrics,
 // -events, -cpuprofile, -memprofile, and -progress (see observe.go).
-// The grid-sweeping commands (fig3, table1, table6, selfcheck, export)
-// take -j N to shard their simulation grid over N workers (default
+// The grid-sweeping commands (fig3, table1, table6, table7, table8,
+// table9, fig4, selfcheck, export) take -j N to shard their simulation grid over N workers (default
 // GOMAXPROCS); output is byte-identical for any worker count.
 package main
 
@@ -233,8 +233,8 @@ func cacheScaleFlag(fs *flag.FlagSet) *int {
 	return fs.Int("cachescale", 16, "divide Table 4 cache sizes by this factor (1 = paper-exact)")
 }
 
-// workersFlag adds the common -j flag to the subcommands that sweep the
-// (benchmark × experiment) simulation grid. Output is byte-identical for
+// workersFlag adds the common -j flag to the subcommands that sweep a
+// (benchmark × configuration) simulation grid. Output is byte-identical for
 // any worker count (-j 1 reproduces the serial sweep bit-for-bit); the
 // profile subcommand deliberately omits it, since it measures the
 // simulator's own single-stream throughput.

@@ -102,20 +102,6 @@ func TestExtrapolateOutput(t *testing.T) {
 	}
 }
 
-func TestTable7Output(t *testing.T) {
-	out := capture(t, func() error { return runTable7(&env{}, nil) })
-	if !strings.Contains(out, "compress") || !strings.Contains(out, "<<<") {
-		t.Error("table7 output incomplete")
-	}
-}
-
-func TestTable8Output(t *testing.T) {
-	out := capture(t, func() error { return runTable8(&env{}, nil) })
-	if !strings.Contains(out, "inefficienc") {
-		t.Error("table8 output incomplete")
-	}
-}
-
 // diffGolden fails t unless out is byte-identical to testdata/<name>.
 func diffGolden(t *testing.T, out, name string) {
 	t.Helper()
@@ -126,6 +112,14 @@ func diffGolden(t *testing.T, out, name string) {
 	if out != string(want) {
 		t.Errorf("output differs from testdata/%s\n got:\n%s\nwant:\n%s", name, out, want)
 	}
+}
+
+func TestTable7Output(t *testing.T) {
+	diffGolden(t, capture(t, func() error { return runTable7(&env{}, nil) }), "table7.golden")
+}
+
+func TestTable8Output(t *testing.T) {
+	diffGolden(t, capture(t, func() error { return runTable8(&env{}, nil) }), "table8.golden")
 }
 
 func TestTable9Output(t *testing.T) {
@@ -149,10 +143,7 @@ func TestEpinOutput(t *testing.T) {
 }
 
 func TestFig4Output(t *testing.T) {
-	out := capture(t, func() error { return runFig4(&env{}, []string{"-bench", "espresso", "-plot=false"}) })
-	if !strings.Contains(out, "MTC write-validate") || !strings.Contains(out, "4-way 32B blocks") {
-		t.Error("fig4 output incomplete")
-	}
+	diffGolden(t, capture(t, func() error { return runFig4(&env{}, []string{"-bench", "espresso"}) }), "fig4.golden")
 }
 
 func TestFig3Output(t *testing.T) {

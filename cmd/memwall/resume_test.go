@@ -110,6 +110,21 @@ func TestTable7KillAndResume(t *testing.T) {
 	testKillAndResume(t, "table7", nil, "panic@3")
 }
 
+// The other trace-driven grids journal single cells (table8, fig4) and
+// whole factor columns (table9); each must survive the ledger's JSON
+// round-trip byte for byte.
+func TestTable8KillAndResume(t *testing.T) {
+	testKillAndResume(t, "table8", nil, "panic@3")
+}
+
+func TestTable9KillAndResume(t *testing.T) {
+	testKillAndResume(t, "table9", nil, "panic@3")
+}
+
+func TestFig4KillAndResume(t *testing.T) {
+	testKillAndResume(t, "fig4", []string{"-bench", "espresso"}, "panic@3")
+}
+
 func TestTable6KillAndResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing simulation")

@@ -132,7 +132,7 @@ type Ledger struct {
 	mu       sync.Mutex
 	cells    map[string]json.RawMessage
 	flight   map[string]*call // computations in progress, by key
-	disabled bool             // journaling stopped after a write failure
+	disabled bool             // journaling stopped after a write failure; cells still memoize
 	closed   bool             // ledger retired by Close; Lookup misses, Record no-ops
 
 	// corruptions and staleness track detection counts independently of
@@ -254,9 +254,10 @@ func (l *Ledger) Close() {
 }
 
 // Record journals one completed cell and atomically rewrites the ledger
-// file. Failures disable further journaling for the run (the grid result
-// still stands; only resumability is lost) and are counted in
-// checkpoint.errors. Nil-safe.
+// file. A failed write disables further journaling for the run (the grid
+// result still stands; only resumability is lost) and is counted in
+// checkpoint.errors; cells are still kept in memory, so a memoizing
+// ledger goes on serving repeats. Nil-safe.
 func (l *Ledger) Record(key string, value []byte) {
 	if l == nil {
 		return
@@ -268,18 +269,16 @@ func (l *Ledger) Record(key string, value []byte) {
 
 // recordLocked is Record under l.mu.
 func (l *Ledger) recordLocked(key string, value []byte) {
-	if l.disabled || l.closed {
+	if l.closed {
 		return
 	}
 	l.cells[key] = json.RawMessage(value)
-	if l.dir == "" {
-		return // memory-only: nothing to write
+	if l.dir == "" || l.disabled {
+		return // memory-only, or journaling stopped: nothing to write
 	}
 	if err := l.writeLocked(); err != nil {
-		// Roll the cell back out so a later successful write (if the
-		// condition was transient and journaling re-enabled) could not
-		// persist a cells map whose write we never confirmed.
-		delete(l.cells, key)
+		// Journaling never resumes, so the cells map is never persisted
+		// again and may keep the cell this write failed to confirm.
 		l.disabled = true
 		l.ctr.errors.Inc()
 		return

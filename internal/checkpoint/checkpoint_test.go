@@ -213,16 +213,22 @@ func TestRecordFailureDisablesJournaling(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	in.Bind(reg)
 	dir := t.TempDir()
-	l := open(t, Options{Dir: dir, Fingerprint: fp, FS: in.Wrap(faultinject.OS()), Metrics: reg})
+	l := open(t, Options{Dir: dir, Fingerprint: fp, FS: in.Wrap(faultinject.OS()), Metrics: reg, Resume: true})
 
 	l.Record("cell-a", []byte(`{"v":1}`)) // hits the injected ENOSPC
 	if !l.WriteFailed() {
 		t.Fatal("write failure did not disable journaling")
 	}
-	if l.Len() != 0 {
-		t.Errorf("failed cell retained in memory: Len = %d", l.Len())
+	// Persistence stops, memoization does not: both cells stay in memory,
+	// and the second Record writes no file (the injected fault is spent,
+	// so a write attempt would succeed and leave one behind).
+	l.Record("cell-b", []byte(`{"v":2}`))
+	if l.Len() != 2 {
+		t.Errorf("cells memoized after the failed write: Len = %d, want 2", l.Len())
 	}
-	l.Record("cell-b", []byte(`{"v":2}`)) // no-op while disabled
+	if v, ok := l.Lookup("cell-a"); !ok || string(v) != `{"v":1}` {
+		t.Errorf("Lookup(cell-a) = %s, %v; want the memoized cell", v, ok)
+	}
 	snap := reg.Snapshot()
 	if snap.Counters["checkpoint.errors"] != 1 {
 		t.Errorf("checkpoint.errors = %d, want 1", snap.Counters["checkpoint.errors"])

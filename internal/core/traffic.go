@@ -46,7 +46,7 @@ func MeasureRatio(cfg cache.Config, s trace.Stream, refs int64, dataSetBytes int
 		Stats:       st,
 		Refs:        refs,
 		R:           TrafficRatio(st.TrafficBytes(), units.Words(refs).Bytes(trace.WordSize)),
-		FitsDataSet: dataSetBytes > 0 && int64(cfg.Size) >= dataSetBytes,
+		FitsDataSet: fitsDataSet(cfg.Size, dataSetBytes),
 	}, nil
 }
 
@@ -93,7 +93,7 @@ func MeasureRatioRefs(cfg cache.Config, tr RefTrace, dataSetBytes int64) (RatioR
 		Stats:       st,
 		Refs:        nrefs,
 		R:           TrafficRatio(st.TrafficBytes(), units.Words(nrefs).Bytes(trace.WordSize)),
-		FitsDataSet: dataSetBytes > 0 && int64(cfg.Size) >= dataSetBytes,
+		FitsDataSet: fitsDataSet(cfg.Size, dataSetBytes),
 	}, nil
 }
 
@@ -157,7 +157,7 @@ func MeasureInefficiency(cfg cache.Config, s trace.Stream, dataSetBytes int64) (
 		return InefficiencyResult{}, err
 	}
 	cst := c.Run(s)
-	mcfg := mtc.Config{Size: cfg.Size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
+	mcfg := canonicalMTC(cfg.Size)
 	mst, err := mtc.Simulate(mcfg, s)
 	if err != nil {
 		return InefficiencyResult{}, err
@@ -186,7 +186,7 @@ func MeasureInefficiencyRefs(cfg cache.Config, tr RefTrace, dataSetBytes int64) 
 		return InefficiencyResult{}, err
 	}
 	cst := c.RunRefs(refs)
-	mcfg := mtc.Config{Size: cfg.Size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}
+	mcfg := canonicalMTC(cfg.Size)
 	fut, err := tr.Future(trace.WordSize)
 	if err != nil {
 		return InefficiencyResult{}, err
@@ -376,7 +376,8 @@ func MeasureFactors(size int, tr RefTrace) (units.Bytes, []FactorResult, error) 
 		memo[k] = t
 		return t, nil
 	}
-	ref, err := traffic(FactorConfig{MTC: &mtc.Config{Size: size, BlockSize: trace.WordSize, Alloc: mtc.WriteValidate}})
+	refMTC := canonicalMTC(size)
+	ref, err := traffic(FactorConfig{MTC: &refMTC})
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: factor reference MTC: %w", err)
 	}

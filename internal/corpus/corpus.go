@@ -328,7 +328,9 @@ func (e *Entry) materializeRefs() {
 		e.refsErr = err
 		return
 	}
-	refs := trace.Collect(prog.MemRefs())
+	// RefCount counts the program's memory instructions, which is
+	// exactly the number of references MemRefs yields.
+	refs := trace.CollectN(prog.MemRefs(), int(prog.RefCount()))
 	meta := Meta{
 		Name:         e.key.Name,
 		Scale:        e.key.Scale,

@@ -46,10 +46,11 @@ func (f *Future) Blocks() int { return f.numBlocks }
 func (f *Future) Len() int { return len(f.blockOf) }
 
 // nextUse converts the dense entry at position t to the MIN simulator's
-// int64 next-use time (never when the block is not referenced again).
-func (f *Future) nextUse(t int) int64 {
+// next-use time (never when the block is not referenced again). Both
+// constructors reject traces whose positions would reach never.
+func (f *Future) nextUse(t int) int32 {
 	if n := f.next[t]; n >= 0 {
-		return int64(n)
+		return n
 	}
 	return never
 }

@@ -38,8 +38,9 @@ import (
 	"memwall/internal/units"
 )
 
-// never is the next-use time of a block with no future reference.
-const never = math.MaxInt64
+// never is the next-use time of a block with no future reference. Trace
+// positions stay below it: NewFuture and FutureOfRefs reject longer traces.
+const never = math.MaxInt32
 
 // AllocPolicy selects store-miss behaviour.
 type AllocPolicy uint8
@@ -153,10 +154,11 @@ func entryPos(e uint32) int { return int(e >> 1) }
 func packEntry(pos int, dirty uint32) uint32 { return uint32(pos)<<1 | dirty }
 
 // heapElem is one resident block in the eviction heap. The next-use key
-// lives inline so heap compares and swaps touch one contiguous array —
-// no pointer chase, no write barriers, no per-miss allocation.
+// lives inline so heap compares and moves touch one contiguous array of
+// 8-byte elements — no pointer chase, no write barriers, no per-miss
+// allocation.
 type heapElem struct {
-	nextUse int64
+	nextUse int32
 	id      int32
 }
 
@@ -243,9 +245,19 @@ func (m *MTC) Future() *Future { return m.fut }
 func (m *MTC) Resident() int { return len(m.heap) }
 
 // --- indexed max-heap on nextUse ---
+//
+// The sifts move a hole rather than swapping: the sifted element is held
+// aside, each level moves one element and updates its entry, and the
+// element lands once at the end. They make the same comparisons as a
+// swapping sift and leave the same arrangement, so tie order — and with
+// it FlushWriteBacks and PreferCleanVictims — does not depend on the
+// technique.
 
-func (m *MTC) heapLess(i, j int) bool {
-	a, b := m.heap[i], m.heap[j]
+// heapLess reports whether a ranks above b: a further next use, or on a
+// tie (only possible at never) a clean block over a dirty one when
+// PreferCleanVictims is set. Dirty bits are read from entries, which the
+// sifts never change.
+func (m *MTC) heapLess(a, b heapElem) bool {
 	if a.nextUse != b.nextUse {
 		return a.nextUse > b.nextUse
 	}
@@ -259,43 +271,48 @@ func (m *MTC) heapLess(i, j int) bool {
 	return false
 }
 
-func (m *MTC) heapSwap(i, j int) {
-	m.heap[i], m.heap[j] = m.heap[j], m.heap[i]
-	m.entries[m.heap[i].id] = packEntry(i+1, m.entries[m.heap[i].id]&entryDirty)
-	m.entries[m.heap[j].id] = packEntry(j+1, m.entries[m.heap[j].id]&entryDirty)
+// place stores x at heap position i and records the position in its entry.
+func (m *MTC) place(i int, x heapElem) {
+	m.heap[i] = x
+	m.entries[x.id] = packEntry(i+1, m.entries[x.id]&entryDirty)
 }
 
+// heapUp sifts the element at i toward the root.
 func (m *MTC) heapUp(i int) {
+	x := m.heap[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !m.heapLess(i, parent) {
+		if !m.heapLess(x, m.heap[parent]) {
 			break
 		}
-		m.heapSwap(i, parent)
+		m.place(i, m.heap[parent])
 		i = parent
 	}
+	m.place(i, x)
 }
 
 func (m *MTC) heapDown(i int) {
 	n := len(m.heap)
+	x := m.heap[i]
 	for {
 		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && m.heapLess(l, largest) {
-			largest = l
+		c, cv := i, x
+		if l < n && m.heapLess(m.heap[l], cv) {
+			c, cv = l, m.heap[l]
 		}
-		if r < n && m.heapLess(r, largest) {
-			largest = r
+		if r < n && m.heapLess(m.heap[r], cv) {
+			c, cv = r, m.heap[r]
 		}
-		if largest == i {
-			return
+		if c == i {
+			break
 		}
-		m.heapSwap(i, largest)
-		i = largest
+		m.place(i, cv)
+		i = c
 	}
+	m.place(i, x)
 }
 
-func (m *MTC) heapPush(id int32, nextUse int64) {
+func (m *MTC) heapPush(id int32, nextUse int32) {
 	// Extend within the preallocated backing array instead of append:
 	// NewWithFuture sizes cap(m.heap) to min(capacity, numBlocks), and
 	// residency never exceeds either bound, so this is allocation-free on
@@ -303,23 +320,15 @@ func (m *MTC) heapPush(id int32, nextUse int64) {
 	i := len(m.heap)
 	m.heap = m.heap[: i+1 : cap(m.heap)]
 	m.heap[i] = heapElem{nextUse: nextUse, id: id}
-	m.entries[id] = packEntry(i+1, m.entries[id]&entryDirty)
 	m.heapUp(i)
-}
-
-func (m *MTC) heapFix(i int) {
-	id := m.heap[i].id
-	m.heapUp(i)
-	if entryPos(m.entries[id])-1 == i {
-		m.heapDown(i)
-	}
 }
 
 func (m *MTC) heapRemove(i int) {
 	last := len(m.heap) - 1
-	m.heapSwap(i, last)
+	x := m.heap[last]
 	m.heap = m.heap[:last]
 	if i < last {
+		m.place(i, x)
 		m.heapDown(i)
 		m.heapUp(i)
 	}
@@ -337,7 +346,7 @@ func (m *MTC) evict(id int32, flush bool) {
 	m.entries[id] = 0
 }
 
-func (m *MTC) allocate(id int32, nextUse int64, dirty bool, fetch bool) {
+func (m *MTC) allocate(id int32, nextUse int32, dirty bool, fetch bool) {
 	if dirty {
 		m.entries[id] = entryDirty // position filled in by heapPush
 	}
@@ -368,7 +377,11 @@ func (m *MTC) access(isWrite bool, t int) {
 		if isWrite {
 			m.entries[id] = e | entryDirty
 		}
-		m.heapFix(i)
+		// The block's key was t, this reference; its next use lies
+		// later, so a hit only ever raises the key and the block can
+		// only move toward the root. Its children keep keys below t,
+		// so no sift down is needed.
+		m.heapUp(i)
 		return
 	}
 

@@ -6,15 +6,16 @@
 package report
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 
-	"memwall/internal/cache"
 	"memwall/internal/core"
 	"memwall/internal/corpus"
 	"memwall/internal/iocomplexity"
 	"memwall/internal/runner"
+	"memwall/internal/trace"
 	"memwall/internal/trends"
 	"memwall/internal/twin"
 	"memwall/internal/workload"
@@ -29,14 +30,15 @@ type Options struct {
 	CacheScale int
 	// SkipTiming omits the (slower) Figure 3 decomposition runs.
 	SkipTiming bool
-	// Workers shards the Figure 3 (benchmark × experiment) grid over a
-	// worker pool (see internal/runner). Values < 1 default to 1, the
-	// serial sweep; results are identical for any worker count.
+	// Workers shards the Tables 7-9 and Figure 3 grids over a worker pool
+	// (see internal/runner). Values < 1 default to 1, the serial sweep;
+	// results are identical for any worker count.
 	Workers int `json:"-"`
 	// Pool, when non-nil, supplies the full worker-pool configuration for
-	// the Figure 3 grid — telemetry hooks plus the checkpoint ledger and
-	// fault injector of a crash-safe CLI run (cmd/memwall's
-	// -checkpoint-dir / -fault-schedule). It overrides Workers.
+	// those grids — telemetry hooks plus the checkpoint ledger and fault
+	// injector of a crash-safe CLI run (cmd/memwall's -checkpoint-dir /
+	// -fault-schedule), and a twin for the Figure 3 cells. It overrides
+	// Workers.
 	Pool *runner.Config `json:"-"`
 	// Sizes are the cache sizes for the traffic tables (defaults to the
 	// paper's 1KB-2MB columns).
@@ -191,46 +193,51 @@ func Collect(opts Options) (*Report, error) {
 		})
 	}
 
-	// Tables 7 and 8 over SPEC92.
-	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		e := corp.Get(name, opts.Scale)
-		dataSet := progs[name].DataSetBytes
-		tr := TrafficRow{Benchmark: name}
-		ir := TrafficRow{Benchmark: name}
-		for _, sz := range opts.Sizes {
-			cfg := cache.Config{Size: sz, BlockSize: 32, Assoc: 1}
-			rr, err := core.MeasureRatioRefs(cfg, e, dataSet)
-			if err != nil {
-				return nil, err
-			}
+	// Tables 7-9 over SPEC92, through the same grids as the CLI's table7,
+	// table8 and table9: one entry per benchmark, materialized over the
+	// pool with the future tables Tables 8 (word blocks) and 9 (word and
+	// 32-byte blocks) replay.
+	pool := runner.Config{Workers: opts.Workers}
+	if opts.Pool != nil {
+		pool = *opts.Pool
+	}
+	names := workload.SuiteNames(workload.SPEC92)
+	benches := make([]core.TraceBench, len(names))
+	for i, name := range names {
+		benches[i] = core.TraceBench{Name: name, Trace: corp.Get(name, opts.Scale), DataSetBytes: progs[name].DataSetBytes}
+	}
+	ctx := context.Background()
+	if err := core.Materialize(ctx, pool, benches, trace.WordSize, 32); err != nil {
+		return nil, err
+	}
+	ratios, err := core.RatioGrid(ctx, pool, "table7", benches, opts.Sizes)
+	if err != nil {
+		return nil, err
+	}
+	ineffs, err := core.InefficiencyGrid(ctx, pool, "table8", benches, opts.Sizes)
+	if err != nil {
+		return nil, err
+	}
+	factors, err := core.FactorGrid(ctx, pool, "table9", benches)
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range benches {
+		tr := TrafficRow{Benchmark: b.Name}
+		ir := TrafficRow{Benchmark: b.Name}
+		for j, sz := range opts.Sizes {
+			rr, ie := ratios[i][j], ineffs[i][j]
 			tr.Cells = append(tr.Cells, CacheCell{SizeBytes: sz, Value: rr.R, Fits: rr.FitsDataSet})
-			if rr.FitsDataSet {
+			if ie.FitsDataSet {
 				ir.Cells = append(ir.Cells, CacheCell{SizeBytes: sz, Fits: true})
-				continue
+			} else {
+				ir.Cells = append(ir.Cells, CacheCell{SizeBytes: sz, Value: ie.G})
 			}
-			ie, err := core.MeasureInefficiencyRefs(cfg, e, dataSet)
-			if err != nil {
-				return nil, err
-			}
-			ir.Cells = append(ir.Cells, CacheCell{SizeBytes: sz, Value: ie.G})
 		}
 		r.TrafficRatios = append(r.TrafficRatios, tr)
 		r.Inefficiencies = append(r.Inefficiencies, ir)
-	}
-
-	// Tables 9-10. The word-grain future tables built for Table 8's MTC
-	// runs are reused here via the corpus.
-	for _, name := range workload.SuiteNames(workload.SPEC92) {
-		size := 64 << 10
-		if name == "espresso" {
-			size = 16 << 10
-		}
-		_, res, err := core.MeasureFactors(size, corp.Get(name, opts.Scale))
-		if err != nil {
-			return nil, err
-		}
-		fr := FactorRow{Benchmark: name, SizeBytes: size, DeltaG: map[string]float64{}}
-		for _, f := range res {
+		fr := FactorRow{Benchmark: b.Name, SizeBytes: core.FactorCacheSize(b.Name), DeltaG: map[string]float64{}}
+		for _, f := range factors[i] {
 			fr.DeltaG[f.Spec.Name] = f.DeltaG
 		}
 		r.Factors = append(r.Factors, fr)
@@ -242,10 +249,6 @@ func Collect(opts Options) (*Report, error) {
 			var list []*workload.Program
 			for _, name := range twin.TimingBenchmarks(suite) {
 				list = append(list, progs[name])
-			}
-			pool := runner.Config{Workers: opts.Workers}
-			if opts.Pool != nil {
-				pool = *opts.Pool
 			}
 			cells, err := core.Figure3Pool(suite, list, opts.CacheScale, pool)
 			if err != nil {

@@ -123,6 +123,12 @@ type Config struct {
 	// worker with WithTID so concurrent tasks render on separate tracks;
 	// Metrics and Progress are shared (both are concurrency-safe).
 	Obs telemetry.Observation
+	// Metrics, when non-nil, receives the pool's own instruments
+	// (runner.panics, runner.checkpoint.decode_errors,
+	// runner.twin.decode_errors) in place of Obs.Metrics, so a caller
+	// can count them without instrumenting the simulations its cells
+	// run.
+	Metrics *telemetry.Registry
 	// TaskName, when non-nil, names task i's trace span. It doubles as
 	// the default checkpoint cell key when CellKey is unset, so grids
 	// that already name their tasks get checkpointing for free.
@@ -320,9 +326,14 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 		return fmt.Sprintf("cell %d", i)
 	}
 
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = cfg.Obs.Metrics
+	}
+
 	// panicked turns a recovered panic into the cell's task error.
 	panicked := func(i int, r any) error {
-		cfg.Obs.Metrics.Counter("runner.panics").Inc()
+		reg.Counter("runner.panics").Inc()
 		return fmt.Errorf("%s panicked: %v", cellID(i), r)
 	}
 
@@ -403,7 +414,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 					return pred, nil
 				}
 				// Undecodable prediction (schema drift): compute normally.
-				cfg.Obs.Metrics.Counter("runner.twin.decode_errors").Inc()
+				reg.Counter("runner.twin.decode_errors").Inc()
 			}
 		}
 		if cfg.Checkpoint == nil || keyFn == nil {
@@ -436,7 +447,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn Func[T]) ([]T, error)
 		if jerr := json.Unmarshal(b, &v); jerr != nil {
 			// Undecodable cell (schema drift the fingerprint missed):
 			// recompute — degrade, never fail.
-			cfg.Obs.Metrics.Counter("runner.checkpoint.decode_errors").Inc()
+			reg.Counter("runner.checkpoint.decode_errors").Inc()
 			src = SourceComputed
 			return compute(ctx)
 		}

@@ -235,6 +235,25 @@ func TestMapPanicBecomesTaskError(t *testing.T) {
 	}
 }
 
+// TestMapMetricsCountsPoolInstruments: Config.Metrics takes the pool's
+// own instruments while the cells run with no registry at all.
+func TestMapMetricsCountsPoolInstruments(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	_, err := Map(context.Background(), Config{Workers: 2, Metrics: reg}, 4,
+		func(ctx context.Context, i int, _ *telemetry.Tracer) (int, error) {
+			if i == 1 {
+				panic("blown invariant")
+			}
+			return i, nil
+		})
+	if err == nil {
+		t.Fatal("panic did not fail the run")
+	}
+	if got := reg.Snapshot().Counters["runner.panics"]; got != 1 {
+		t.Errorf("runner.panics = %d, want 1", got)
+	}
+}
+
 // detachedLedger is a Checkpoint whose Do runs compute on a goroutine
 // of its own, as checkpoint.Ledger does, and records nothing.
 type detachedLedger struct{}

@@ -697,6 +697,31 @@ func TestServeMetricz(t *testing.T) {
 	}
 }
 
+// TestServeMetriczCountsRunnerPanics: without a CLI registry
+// (Options.Obs.Metrics unset, as without -metrics) the job pools report
+// into the server's own, so a panicking cell shows on /metricz.
+func TestServeMetriczCountsRunnerPanics(t *testing.T) {
+	var once sync.Once
+	_, hs := testServer(t, Options{
+		Fault: faultFunc(func(int, func()) { once.Do(func() { panic("blown invariant") }) }),
+	})
+	if status, body, _ := post(t, hs.URL, smallSpec()); status != http.StatusInternalServerError {
+		t.Fatalf("status %d (%s), want 500", status, body)
+	}
+	resp, err := http.Get(hs.URL + "/metricz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap telemetry.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["runner.panics"]; got != 1 {
+		t.Errorf("runner.panics = %d on /metricz, want 1", got)
+	}
+}
+
 // waitInflight blocks until n callers wait on key's computation in the
 // default configuration's ledger.
 func waitInflight(t *testing.T, s *Server, key string, n int) {

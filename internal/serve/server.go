@@ -489,9 +489,13 @@ func (s *Server) run(ctx context.Context, p *plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The runner's own instruments always reach /metricz; the cells'
+	// simulations publish only under the CLI's -metrics (Obs.Metrics),
+	// since instrumenting them costs every cold cell.
 	pool := runner.Config{
 		Workers:    s.opts.Workers,
 		Obs:        s.jobObs(),
+		Metrics:    s.metrics,
 		Checkpoint: led,
 		Fault:      s.opts.Fault,
 	}

@@ -86,8 +86,17 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 func (s *SliceStream) Len() int { return len(s.refs) }
 
 // Collect drains a stream into a slice, then resets it.
-func Collect(s Stream) []Ref {
+func Collect(s Stream) []Ref { return CollectN(s, 0) }
+
+// CollectN is Collect for a stream known to hold n references: the slice
+// is allocated once at that capacity instead of growing by append, which
+// for a multi-million-reference trace allocates several times the bytes
+// it keeps.
+func CollectN(s Stream, n int) []Ref {
 	var refs []Ref
+	if n > 0 {
+		refs = make([]Ref, 0, n)
+	}
 	for {
 		r, ok := s.Next()
 		if !ok {
